@@ -1,4 +1,6 @@
-//! Machine-readable perf snapshot: `BENCH_PR7.json`.
+//! Machine-readable perf snapshot (the committed one is `BENCH_PR7.json`;
+//! a run writes `target/bench_report.json` unless `--out` says otherwise,
+//! so a casual run never overwrites the committed baseline).
 //!
 //! Times the hot paths the data-structure overhaul targets (coherence
 //! touches, dirty-line marks, FMem translation, eviction-log packing,
@@ -15,9 +17,11 @@
 //! snapshot and the process exits non-zero if any ns/op regressed more
 //! than 2x — the CI `bench-smoke` gate. Wall-clock sweep numbers are
 //! recorded but never gated: they depend on the runner's core count.
-//! The shard speedup *is* gated — on a multi-core runner the engine
-//! must hit > 0.7·N at N workers (single-core runners skip the gate,
-//! since N = 1 has nothing to parallelize).
+//! The shard speedup *is* gated — with at least [`SHARD_GATE_MIN_CORES`]
+//! hardware threads the engine must hit > 0.7·N at N workers. Below
+//! that the figure is printed but informational: with two or three
+//! cores the bench thread, the OS and the workers share them, and the
+//! speedup sits near 1.2x whatever the engine does.
 //!
 //! On any gate failure the report diffs a fresh quick profile-scenario
 //! run against the committed `PROFILE_BASELINE.json` (override with
@@ -366,6 +370,7 @@ fn to_json(
     micros: &[Micro],
     improvements: &[Micro],
     quick: bool,
+    nproc: usize,
     jobs_n: usize,
     wall_1: f64,
     wall_n: f64,
@@ -376,6 +381,7 @@ fn to_json(
     let mut s = String::from("{\n");
     s.push_str("  \"schema\": \"kona-bench-report-v1\",\n");
     s.push_str(&format!("  \"quick\": {quick},\n"));
+    s.push_str(&format!("  \"nproc\": {nproc},\n"));
     s.push_str("  \"micro_ns_per_op\": {\n");
     for (i, m) in micros.iter().enumerate() {
         let comma = if i + 1 == micros.len() { "" } else { "," };
@@ -468,10 +474,18 @@ fn print_host_scopes() {
     }
 }
 
+/// Fewest hardware threads at which the 0.7·N shard-speedup gate can
+/// fail the run.
+const SHARD_GATE_MIN_CORES: usize = 4;
+
 fn main() {
     let opts = ExpOptions::from_env();
     let quick = opts.quick;
-    println!("bench_report: timing hot paths ({} mode)", if quick { "quick" } else { "full" });
+    let nproc = std::thread::available_parallelism().map_or(1, usize::from);
+    println!(
+        "bench_report: timing hot paths ({} mode, nproc {nproc})",
+        if quick { "quick" } else { "full" }
+    );
     host_profile_start();
 
     let micros = [
@@ -530,6 +544,7 @@ fn main() {
         &micros,
         &improvements,
         quick,
+        nproc,
         jobs_n,
         wall_1,
         wall_n,
@@ -537,20 +552,29 @@ fn main() {
         shard_wall_1,
         shard_wall_n,
     );
-    let out = opts.value_of("out").unwrap_or("BENCH_PR7.json");
+    let out = std::path::Path::new(opts.value_of("out").unwrap_or("target/bench_report.json"));
+    if let Some(dir) = out.parent().filter(|d| !d.as_os_str().is_empty()) {
+        std::fs::create_dir_all(dir).expect("create report directory");
+    }
     std::fs::write(out, &json).expect("write report");
+    let out = out.display();
     println!("report written to {out}");
     print_host_scopes();
 
-    // Scaling gate: only meaningful with >1 hardware thread (on a
-    // single-core runner both walls time the same serial path).
+    // Scaling gate (on a single-core runner both walls time the same
+    // serial path, so there is nothing to compare).
     if shards_n > 1 && shard_speedup < 0.7 * shards_n as f64 {
         eprintln!(
             "bench_report: shard speedup {shard_speedup:.2}x < 0.7*{shards_n} at \
              {shards_n} workers"
         );
-        print_blame(&opts);
-        std::process::exit(1);
+        if shards_n >= SHARD_GATE_MIN_CORES {
+            print_blame(&opts);
+            std::process::exit(1);
+        }
+        eprintln!(
+            "bench_report: informational only below {SHARD_GATE_MIN_CORES} cores (nproc {nproc})"
+        );
     }
 
     if let Some(path) = opts.value_of("baseline") {

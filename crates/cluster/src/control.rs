@@ -474,18 +474,20 @@ impl ClusterRuntime {
         // copies; under an active partition this can fail transiently,
         // which is fine — unreachable copies are skipped below.
         let _ = self.inner.sync();
-        let slabs = self.inner.slab_copies();
-        let picks = self.scrub_cursor.take(slabs.len(), self.plane.scrub_batch);
-        for i in picks {
-            let (base, len, copies) = &slabs[i];
-            let lines = self.truth.lines_in(*base, *len);
-            if lines.is_empty() {
+        let picks = self
+            .scrub_cursor
+            .take(self.inner.slab_count(), self.plane.scrub_batch);
+        for (base, len, copies) in self.inner.slab_copies_at(&picks) {
+            let mut lines = 0usize;
+            let want = self
+                .truth
+                .lines_in(base, len)
+                .inspect(|_| lines += 1)
+                .fold(FNV_OFFSET, |h, (off, bytes)| digest_fold(h, off, bytes));
+            if lines == 0 {
                 continue;
             }
-            let want = lines
-                .iter()
-                .fold(FNV_OFFSET, |h, (off, bytes)| digest_fold(h, *off, bytes));
-            for &copy in copies {
+            for copy in copies {
                 if self.inner.fabric_mut().unreachable(copy.node()) {
                     self.scrub_stats.skipped += 1;
                     self.counters.scrub_skipped.inc();
@@ -494,9 +496,12 @@ impl ClusterRuntime {
                 let Some(mem) = self.inner.fabric_mut().node(copy.node()) else {
                     continue;
                 };
-                let got = lines.iter().fold(FNV_OFFSET, |h, (off, bytes)| {
-                    digest_fold(h, *off, mem.read_bytes(copy.offset() + off, bytes.len() as u64))
-                });
+                let got = self
+                    .truth
+                    .lines_in(base, len)
+                    .fold(FNV_OFFSET, |h, (off, bytes)| {
+                        digest_fold(h, off, mem.read_bytes(copy.offset() + off, bytes.len() as u64))
+                    });
                 self.scrub_stats.copies_checked += 1;
                 self.counters.scrub_checked.inc();
                 if got == want {
@@ -507,12 +512,12 @@ impl ClusterRuntime {
                 // Repair: re-copy the truth bytes, coalescing adjacent
                 // lines into runs to keep the verb count down.
                 let mut runs: Vec<(u64, Vec<u8>)> = Vec::new();
-                for (off, bytes) in &lines {
+                for (off, bytes) in self.truth.lines_in(base, len) {
                     match runs.last_mut() {
-                        Some((start, buf)) if *start + buf.len() as u64 == *off => {
+                        Some((start, buf)) if *start + buf.len() as u64 == off => {
                             buf.extend_from_slice(bytes);
                         }
-                        _ => runs.push((*off, bytes.to_vec())),
+                        _ => runs.push((off, bytes.to_vec())),
                     }
                 }
                 let mut repaired = true;
@@ -822,5 +827,65 @@ mod tests {
         rt.sync().unwrap();
         let healed = rt.cluster_stats();
         assert_eq!(healed.scrub_divergence_found, after.scrub_divergence_found);
+    }
+
+    /// The batch-local scrub must reach every slab: corrupt the *last*
+    /// slab's replica and walk the cursor across the wrap (`[0,1]`,
+    /// `[2,0]`, `[1,2]` with three slabs and a batch of two).
+    #[test]
+    fn scrub_repairs_divergence_beyond_the_first_slab_across_cursor_wrap() {
+        let mut rt = ClusterRuntime::with_telemetry(
+            config().with_replicas(2),
+            ControlPlaneConfig {
+                tick_ops: 0,
+                scrub_interval_ticks: 1,
+                scrub_batch: 2,
+                ..ControlPlaneConfig::default()
+            },
+            Telemetry::disabled(),
+        )
+        .unwrap();
+        let addr = rt.allocate(3 << 20).unwrap();
+        for slab in 0..3u64 {
+            rt.write_bytes(addr + (slab << 20) + 128, &[0xC0 + slab as u8; 192])
+                .unwrap();
+        }
+        rt.sync().unwrap(); // scrubs slabs [0, 1]
+        assert_eq!(rt.cluster_stats().scrub_divergence_found, 0);
+
+        let copies = rt.inner().slab_copies();
+        assert_eq!(copies.len(), 3);
+        assert_eq!(
+            rt.inner().slab_copies_at(&[2, 0]),
+            vec![copies[2].clone(), copies[0].clone()]
+        );
+        let target = copies[2].2[1].add(128);
+        let corrupt = |rt: &mut ClusterRuntime| {
+            rt.inner_mut()
+                .fabric_mut()
+                .node_mut(target.node())
+                .unwrap()
+                .local_write(target.offset(), &[0xFF; 64]);
+        };
+        let stored = |rt: &mut ClusterRuntime| {
+            let mem = rt.inner_mut().fabric_mut().node(target.node()).unwrap();
+            mem.read_bytes(target.offset(), 64).to_vec()
+        };
+
+        corrupt(&mut rt);
+        rt.sync().unwrap(); // scrubs [2, 0]: the wrap
+        let stats = rt.cluster_stats();
+        assert_eq!(stats.scrub_divergence_found, 1, "{stats:?}");
+        assert_eq!(stats.scrub_divergence_repaired, 1);
+        assert_eq!(stored(&mut rt), vec![0xC2; 64]);
+
+        corrupt(&mut rt);
+        rt.sync().unwrap(); // scrubs [1, 2]: slab 2 picked second
+        let stats = rt.cluster_stats();
+        assert_eq!(stats.scrub_divergence_found, 2, "{stats:?}");
+        assert_eq!(stats.scrub_divergence_repaired, 2);
+        assert_eq!(stored(&mut rt), vec![0xC2; 64]);
+        // Two copies of two slabs per step, three steps.
+        assert_eq!(stats.scrub_checked, 12);
     }
 }

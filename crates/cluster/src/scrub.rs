@@ -85,34 +85,28 @@ impl TruthStore {
     }
 
     /// Fully written lines inside the virtual range `[base, base+len)`
-    /// as `(offset within the range, line bytes)`, in address order.
-    pub fn lines_in(&self, base: u64, len: u64) -> Vec<(u64, &[u8])> {
-        let mut out = Vec::new();
+    /// as `(offset within the range, line bytes)`, in address order,
+    /// straight off the page images.
+    pub fn lines_in(&self, base: u64, len: u64) -> impl Iterator<Item = (u64, &[u8])> + '_ {
         let first = base / PAGE_SIZE_4K;
         let last = (base + len).div_ceil(PAGE_SIZE_4K);
-        for page in first..last {
-            let Some(tp) = self.pages.get(&page) else {
-                continue;
-            };
-            for line in 0..LINES_PER_PAGE_4K {
-                if !tp.written.get(line) {
-                    continue;
-                }
-                let addr = page * PAGE_SIZE_4K + line as u64 * CACHE_LINE_SIZE;
-                if addr < base || addr + CACHE_LINE_SIZE > base + len {
-                    continue;
-                }
-                let start = line * CACHE_LINE_SIZE as usize;
-                out.push((addr - base, &tp.image[start..start + CACHE_LINE_SIZE as usize]));
-            }
-        }
-        out
+        (first..last)
+            .filter_map(move |page| Some((page, self.pages.get(&page)?)))
+            .flat_map(move |(page, tp)| {
+                tp.written.iter_set().filter_map(move |line| {
+                    let addr = page * PAGE_SIZE_4K + line as u64 * CACHE_LINE_SIZE;
+                    if addr < base || addr + CACHE_LINE_SIZE > base + len {
+                        return None;
+                    }
+                    let start = line * CACHE_LINE_SIZE as usize;
+                    Some((addr - base, &tp.image[start..start + CACHE_LINE_SIZE as usize]))
+                })
+            })
     }
 
     /// Rolling digest of the truth lines inside `[base, base+len)`.
     pub fn digest_range(&self, base: u64, len: u64) -> u64 {
         self.lines_in(base, len)
-            .into_iter()
             .fold(FNV_OFFSET, |h, (off, bytes)| digest_fold(h, off, bytes))
     }
 }
@@ -162,13 +156,13 @@ mod tests {
         let mut t = TruthStore::new();
         // One full line at 64 and a partial tail at 128..150.
         t.record_write(64, &[0xAA; 86]);
-        let lines = t.lines_in(0, PAGE_SIZE_4K);
+        let lines: Vec<_> = t.lines_in(0, PAGE_SIZE_4K).collect();
         assert_eq!(lines.len(), 1);
         assert_eq!(lines[0].0, 64);
         assert_eq!(lines[0].1, &[0xAA; 64][..]);
         // Completing the partial line makes it visible.
         t.record_write(128, &[0xBB; 64]);
-        assert_eq!(t.lines_in(0, PAGE_SIZE_4K).len(), 2);
+        assert_eq!(t.lines_in(0, PAGE_SIZE_4K).count(), 2);
     }
 
     #[test]
@@ -191,8 +185,8 @@ mod tests {
         t.record_write(0, &[7; 64]);
         t.record_write(PAGE_SIZE_4K, &[8; 64]);
         t.clear_range(0, PAGE_SIZE_4K);
-        assert!(t.lines_in(0, PAGE_SIZE_4K).is_empty());
-        assert_eq!(t.lines_in(PAGE_SIZE_4K, PAGE_SIZE_4K).len(), 1);
+        assert_eq!(t.lines_in(0, PAGE_SIZE_4K).count(), 0);
+        assert_eq!(t.lines_in(PAGE_SIZE_4K, PAGE_SIZE_4K).count(), 1);
     }
 
     #[test]

@@ -101,16 +101,20 @@ impl CacheAgent {
         self.stats
     }
 
-    /// Lines currently in [`LineState::Modified`].
+    /// Lines currently in [`LineState::Modified`], sorted.
     pub fn modified_lines(&self) -> Vec<LineIndex> {
-        let mut v: Vec<LineIndex> = self
-            .lines
+        let mut v: Vec<LineIndex> = self.modified().collect();
+        v.sort_unstable();
+        v
+    }
+
+    /// Lines currently in [`LineState::Modified`], in no particular
+    /// order — one pass over the cache, no allocation.
+    pub fn modified(&self) -> impl Iterator<Item = LineIndex> + '_ {
+        self.lines
             .iter()
             .filter(|(_, s)| s.dirty())
             .map(|(&l, _)| LineIndex(l))
-            .collect();
-        v.sort_unstable();
-        v
     }
 
     /// Installs `line` in `state`, touching LRU order. If the cache is at

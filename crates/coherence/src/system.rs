@@ -285,6 +285,23 @@ impl CoherenceSystem {
         false
     }
 
+    /// Every line some agent holds Modified, in no particular order —
+    /// the only lines a [`recall`](Self::recall) would act on. Bounded by
+    /// the agents' total capacity, so a memory agent about to snoop many
+    /// lines can find the few that matter without probing each one.
+    pub fn modified_lines(&self) -> impl Iterator<Item = LineIndex> + '_ {
+        self.agents.iter().flat_map(CacheAgent::modified)
+    }
+
+    /// Accounts `lines` snoops of lines no agent holds Modified, without
+    /// probing them. Relies on the invariant that [`recall`](Self::recall)
+    /// of a non-Modified line changes nothing but the `snoops` counter;
+    /// the caller vouches (via [`modified_lines`](Self::modified_lines))
+    /// that none of the lines is Modified.
+    pub fn note_clean_snoops(&mut self, lines: u64) {
+        self.stats.snoops += lines;
+    }
+
     /// Invalidates `line` everywhere (e.g. the FPGA dropping a page from
     /// FMem must remove any CPU copies first). Returns whether any copy
     /// was dirty (and thus written back).
@@ -496,6 +513,51 @@ mod tests {
                     swmr_holds(&sys, &lines),
                     "SWMR violated after op {op:?} on line {line}"
                 );
+            }
+        }
+    }
+
+    /// The invariant bulk snoop accounting rests on: recalling a line
+    /// outside `modified_lines()` — Exclusive, Shared or uncached —
+    /// bumps `snoops` and nothing else, and `note_clean_snoops` matches.
+    #[test]
+    fn prop_recall_of_non_modified_line_only_counts_a_snoop() {
+        let mut rng = StdRng::seed_from_u64(0xC1EA);
+        for _ in 0..32 {
+            let mut sys = CoherenceSystem::new(3, 4);
+            for _ in 0..rng.gen_range(1usize..200) {
+                let a = AgentId(rng.gen_range(0u32..3));
+                let l = LineIndex(rng.gen_range(0u64..16));
+                if rng.gen() {
+                    sys.write(a, l);
+                } else {
+                    sys.read(a, l);
+                }
+            }
+            sys.drain_writebacks();
+            let modified: Vec<LineIndex> = sys.modified_lines().collect();
+            let view = |sys: &CoherenceSystem| -> Vec<(DirEntry, Vec<Option<LineState>>)> {
+                (0..16u64)
+                    .map(|l| {
+                        let states = (0..3).map(|a| sys.agent_state(AgentId(a), LineIndex(l)));
+                        (sys.directory_entry(LineIndex(l)), states.collect())
+                    })
+                    .collect()
+            };
+            let before = view(&sys);
+            let mut bulk = sys.clone();
+            let mut clean = 0u64;
+            for l in (0..16u64).map(LineIndex).filter(|l| !modified.contains(l)) {
+                assert!(!sys.recall(l));
+                clean += 1;
+            }
+            bulk.note_clean_snoops(clean);
+            assert_eq!(sys.stats(), bulk.stats());
+            assert_eq!(view(&sys), before);
+            assert!(sys.drain_writebacks().is_empty());
+            // Every Modified line, by contrast, is acted on.
+            for l in modified {
+                assert!(sys.recall(l));
             }
         }
     }

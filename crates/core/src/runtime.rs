@@ -864,17 +864,7 @@ impl RemoteMemoryRuntime for KonaRuntime {
     }
 
     fn sync(&mut self) -> Result<Nanos> {
-        let res = if !self.telemetry.causal_enabled() {
-            self.sync_inner()
-        } else {
-            self.telemetry.trace_begin(OpKind::Sync);
-            let res = self.sync_inner();
-            self.telemetry
-                .trace_end(*res.as_ref().unwrap_or(&Nanos::ZERO));
-            res
-        };
-        self.telemetry.observe_time(self.fabric.now());
-        res
+        self.sync_traced(Self::sync_inner)
     }
 
     fn stats(&self) -> RuntimeStats {
@@ -885,12 +875,47 @@ impl RemoteMemoryRuntime for KonaRuntime {
 }
 
 impl KonaRuntime {
+    /// Runs `walk` as one traced `Sync` operation.
+    fn sync_traced(&mut self, walk: fn(&mut Self) -> Result<Nanos>) -> Result<Nanos> {
+        let res = if !self.telemetry.causal_enabled() {
+            walk(self)
+        } else {
+            self.telemetry.trace_begin(OpKind::Sync);
+            let res = walk(self);
+            self.telemetry
+                .trace_end(*res.as_ref().unwrap_or(&Nanos::ZERO));
+            res
+        };
+        self.telemetry.observe_time(self.fabric.now());
+        res
+    }
+
     fn sync_inner(&mut self) -> Result<Nanos> {
+        // Only pages the tracker or a CPU cache knows to be dirty need
+        // their lines snooped; the rest of FMem is accounted in bulk.
+        let candidates = self.fpga.dirty_candidate_pages();
+        self.sync_pages(|page| candidates.contains(&page.raw()))
+    }
+
+    /// The reference `sync` the equivalence tests compare against: every
+    /// FMem-resident page gets the full 64-line snoop.
+    #[cfg(test)]
+    fn sync_every_page(&mut self) -> Result<Nanos> {
+        self.sync_traced(|rt| rt.sync_pages(|_| true))
+    }
+
+    /// Writes back dirty lines of pages still resident in FMem, walking
+    /// them in [`KonaFpga::resident_pages_list`] order. `may_be_dirty`
+    /// must hold for every page with a tracked or CPU-cached dirty line.
+    fn sync_pages(&mut self, may_be_dirty: impl Fn(PageNumber) -> bool) -> Result<Nanos> {
         self.update_degraded();
         let mut elapsed = Nanos::ZERO;
-        // Write back dirty lines of pages still resident in FMem.
         let resident: Vec<PageNumber> = self.fpga.resident_pages_list();
         for page in resident {
+            if !may_be_dirty(page) {
+                self.fpga.snoop_clean_page(page);
+                continue;
+            }
             let dirty = self.fpga.snoop_page_dirty(page);
             if !dirty.any() {
                 continue;
@@ -1270,17 +1295,40 @@ impl KonaRuntime {
     pub fn slab_copies(&self) -> Vec<(u64, u64, Vec<RemoteAddr>)> {
         self.slabs
             .iter()
-            .map(|(&base, info)| {
-                let mut copies = Vec::with_capacity(1 + info.replicas.len());
-                if let Ok(primary) =
-                    self.fpga.translate_page(VfMemAddr::new(base).page_number())
-                {
-                    copies.push(primary);
-                }
-                copies.extend(info.replicas.iter().copied());
-                (base, info.len, copies)
-            })
+            .map(|(&base, info)| self.copies_of(base, info))
             .collect()
+    }
+
+    /// Number of mapped slabs (the length of [`slab_copies`](Self::slab_copies)).
+    pub fn slab_count(&self) -> usize {
+        self.slabs.len()
+    }
+
+    /// The entries of [`slab_copies`](Self::slab_copies) at indices
+    /// `picks`, in `picks` order, materialising only those — the scrubber
+    /// checks a few slabs per step out of a map that may hold hundreds.
+    pub fn slab_copies_at(&self, picks: &[usize]) -> Vec<(u64, u64, Vec<RemoteAddr>)> {
+        let mut out = vec![None; picks.len()];
+        for (i, (&base, info)) in self.slabs.iter().enumerate() {
+            match picks.iter().position(|&p| p == i) {
+                Some(k) => out[k] = Some(self.copies_of(base, info)),
+                // Still translated, in map order, so a traced run records
+                // the same `Translate` instants as the full listing.
+                None => {
+                    let _ = self.fpga.translate_page(VfMemAddr::new(base).page_number());
+                }
+            }
+        }
+        out.into_iter().flatten().collect()
+    }
+
+    fn copies_of(&self, base: u64, info: &SlabInfo) -> (u64, u64, Vec<RemoteAddr>) {
+        let mut copies = Vec::with_capacity(1 + info.replicas.len());
+        if let Ok(primary) = self.fpga.translate_page(VfMemAddr::new(base).page_number()) {
+            copies.push(primary);
+        }
+        copies.extend(info.replicas.iter().copied());
+        (base, info.len, copies)
     }
 
     /// Writes `data` to `dst` over the fabric in
@@ -1403,6 +1451,9 @@ impl KonaRuntime {
         }
     }
 }
+
+#[cfg(test)]
+mod sync_equivalence;
 
 #[cfg(test)]
 mod tests {

@@ -291,10 +291,29 @@ impl KonaFpga {
         self.fmem.eviction_candidate()
     }
 
-    /// All FMem-resident pages (unspecified order) — used by `sync` to
-    /// write back dirty lines of pages that were never evicted.
+    /// All FMem-resident pages, set by set and most-recently-used first
+    /// within a set — used by `sync` to write back dirty lines of pages
+    /// that were never evicted. `sync` appends to the eviction log in
+    /// this order, so log contents, shipments and every window-roll
+    /// gauge sample depend on it: it must stay a pure function of the
+    /// FMem state.
     pub fn resident_pages_list(&self) -> Vec<PageNumber> {
         self.fmem.resident().collect()
+    }
+
+    /// The pages a snoop round could find dirty lines on: those with a
+    /// dirty-tracker entry plus those holding a line some CPU cache has
+    /// Modified. Costs one pass over the tracker and the CPU caches —
+    /// bounded by what was written, not by what is resident. Any other
+    /// page may be accounted with [`snoop_clean_page`](Self::snoop_clean_page).
+    pub fn dirty_candidate_pages(&self) -> FxHashSet<u64> {
+        let mut pages: FxHashSet<u64> = self.dirty.pages().collect();
+        pages.extend(
+            self.coherence
+                .modified_lines()
+                .map(|line| line.page_number().raw()),
+        );
+        pages
     }
 
     /// A CPU access (agent 0) to a VFMem address.
@@ -400,6 +419,23 @@ impl KonaFpga {
         bitmap
     }
 
+    /// A snoop round of a page outside
+    /// [`dirty_candidate_pages`](Self::dirty_candidate_pages): the same
+    /// accounting as [`snoop_page_dirty`](Self::snoop_page_dirty)
+    /// returning an empty bitmap — one page snoop, one line snoop per
+    /// line, one clean page folded into the compaction ratio — without
+    /// walking the lines, because recalling a line no cache holds
+    /// Modified only counts a snoop.
+    pub fn snoop_clean_page(&mut self, page: PageNumber) {
+        debug_assert!(
+            self.dirty.peek_page(page).is_none(),
+            "{page:?} has tracked dirty lines"
+        );
+        self.stats.page_snoops += 1;
+        self.coherence.note_clean_snoops(LINES_PER_PAGE_4K as u64);
+        self.note_compaction_lines(0);
+    }
+
     /// Drops `page` from FMem (eviction-handler initiated), invalidating
     /// CPU copies, and returns its dirty bitmap.
     pub fn evict_page(&mut self, page: PageNumber) -> VictimPage {
@@ -428,7 +464,11 @@ impl KonaFpga {
     /// Folds one expelled/snooped page's dirty bitmap into the compaction
     /// ratio and publishes the updated gauge.
     fn note_compaction(&mut self, dirty_lines: &LineBitmap) {
-        self.compaction_dirty_lines += dirty_lines.count_set() as u64;
+        self.note_compaction_lines(dirty_lines.count_set() as u64);
+    }
+
+    fn note_compaction_lines(&mut self, dirty_lines: u64) {
+        self.compaction_dirty_lines += dirty_lines;
         self.compaction_pages += 1;
         self.metrics
             .dirty_compaction

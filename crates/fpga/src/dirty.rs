@@ -82,9 +82,15 @@ impl DirtyTracker {
 
     /// Pages with at least one dirty line, sorted.
     pub fn dirty_pages(&self) -> Vec<PageNumber> {
-        let mut v: Vec<PageNumber> = self.pages.keys().map(|&p| PageNumber(p)).collect();
+        let mut v: Vec<PageNumber> = self.pages().map(PageNumber).collect();
         v.sort_unstable();
         v
+    }
+
+    /// Pages with at least one dirty line, in no particular order and
+    /// without allocating.
+    pub fn pages(&self) -> impl Iterator<Item = u64> + '_ {
+        self.pages.keys().copied()
     }
 
     /// Total dirty lines across all pages.

@@ -76,7 +76,7 @@ fn bucket_value(i: usize) -> u64 {
 }
 
 /// The bucketed data behind a [`Histogram`] handle.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct HistogramData {
     counts: Vec<u64>,
     count: u64,
@@ -234,6 +234,25 @@ impl HistogramData {
     }
 }
 
+impl Clone for HistogramData {
+    fn clone(&self) -> Self {
+        HistogramData {
+            counts: self.counts.clone(),
+            ..*self
+        }
+    }
+
+    /// Reuses `self`'s bucket allocation (the time-series collector
+    /// re-baselines a changed histogram this way at every window close).
+    fn clone_from(&mut self, source: &Self) {
+        self.counts.clone_from(&source.counts);
+        self.count = source.count;
+        self.sum = source.sum;
+        self.min = source.min;
+        self.max = source.max;
+    }
+}
+
 impl Default for HistogramData {
     fn default() -> Self {
         HistogramData::new()
@@ -267,9 +286,9 @@ impl Histogram {
 /// can share a metric by name.
 #[derive(Debug, Default)]
 pub struct Registry {
-    counters: BTreeMap<String, Counter>,
-    gauges: BTreeMap<String, Gauge>,
-    histograms: BTreeMap<String, Histogram>,
+    pub(crate) counters: BTreeMap<String, Counter>,
+    pub(crate) gauges: BTreeMap<String, Gauge>,
+    pub(crate) histograms: BTreeMap<String, Histogram>,
     /// Cache of composed `{prefix}{id}.{suffix}` names, so per-instance
     /// metrics (e.g. `cluster.node3.backlog_bytes`) format once and every
     /// later resolution is allocation-free.

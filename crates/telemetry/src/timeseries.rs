@@ -281,11 +281,32 @@ pub(crate) struct TimeSeriesCollector {
     last_seen: u64,
     /// Index of the window currently accumulating.
     open_index: u64,
-    /// Registry values at the last window close (the delta baseline).
-    base_counters: BTreeMap<String, u64>,
-    base_gauges: BTreeMap<String, f64>,
-    base_histograms: BTreeMap<String, HistogramData>,
+    /// Registry values at the last window close (the delta baseline),
+    /// one slot per registered metric in the registry's name order, so a
+    /// close walks registry and baseline side by side: no lookups, and
+    /// nothing is cloned for a metric that did not move.
+    base_counters: Vec<(String, u64)>,
+    /// `None` until the gauge's first close, which always records it.
+    base_gauges: Vec<(String, Option<f64>)>,
+    base_histograms: Vec<(String, HistogramData)>,
     data: SeriesData,
+}
+
+/// Brings `base` back in step with `current` (one slot per metric, in
+/// name order) after metrics were registered: existing slots keep their
+/// baseline, new names get `T::default()`. Metrics are never
+/// unregistered, so equal lengths mean nothing to do.
+fn realign<T: Default, V>(base: &mut Vec<(String, T)>, current: &BTreeMap<String, V>) {
+    if base.len() == current.len() {
+        return;
+    }
+    let mut old = std::mem::take(base).into_iter().peekable();
+    for name in current.keys() {
+        match old.next_if(|(n, _)| n == name) {
+            Some(slot) => base.push(slot),
+            None => base.push((name.clone(), T::default())),
+        }
+    }
 }
 
 impl TimeSeriesCollector {
@@ -296,9 +317,9 @@ impl TimeSeriesCollector {
             window_ns: data.window_ns,
             last_seen: 0,
             open_index: 0,
-            base_counters: BTreeMap::new(),
-            base_gauges: BTreeMap::new(),
-            base_histograms: BTreeMap::new(),
+            base_counters: Vec::new(),
+            base_gauges: Vec::new(),
+            base_histograms: Vec::new(),
             data,
         }
     }
@@ -349,33 +370,39 @@ impl TimeSeriesCollector {
     }
 
     /// Diffs the registry against the baseline, pushes the delta as the
-    /// open window (when non-empty) and re-baselines.
+    /// open window (when non-empty) and re-baselines what changed. Work
+    /// and allocation are proportional to the metrics that moved during
+    /// the window, plus one comparison per registered metric.
     fn close_open(&mut self, registry: &Registry) {
-        let cur = registry.dump();
+        realign(&mut self.base_counters, &registry.counters);
+        realign(&mut self.base_gauges, &registry.gauges);
+        realign(&mut self.base_histograms, &registry.histograms);
         let mut w = SeriesWindow::empty(self.open_index);
-        for (name, v) in &cur.counters {
-            let base = self.base_counters.get(name).copied().unwrap_or(0);
-            if *v != base {
-                w.counters.insert(name.clone(), v - base);
+        for ((name, base), c) in self.base_counters.iter_mut().zip(registry.counters.values()) {
+            let v = c.get();
+            if v != *base {
+                w.counters.insert(name.clone(), v - *base);
+                *base = v;
             }
         }
-        for (name, v) in &cur.gauges {
-            let changed = self
-                .base_gauges
-                .get(name)
-                .is_none_or(|b| b.to_bits() != v.to_bits());
-            if changed {
-                w.gauges.insert(name.clone(), *v);
+        for ((name, base), g) in self.base_gauges.iter_mut().zip(registry.gauges.values()) {
+            let v = g.get();
+            if base.is_none_or(|b| b.to_bits() != v.to_bits()) {
+                w.gauges.insert(name.clone(), v);
+                *base = Some(v);
             }
         }
-        for (name, h) in &cur.histograms {
-            let delta = match self.base_histograms.get(name) {
-                Some(base) => h.delta_since(base),
-                None => h.clone(),
-            };
-            if delta.count() > 0 {
-                w.histograms.insert(name.clone(), delta);
-            }
+        for ((name, base), h) in self
+            .base_histograms
+            .iter_mut()
+            .zip(registry.histograms.values())
+        {
+            h.with(|cur| {
+                if cur.count() != base.count() {
+                    w.histograms.insert(name.clone(), cur.delta_since(base));
+                    base.clone_from(cur);
+                }
+            });
         }
         if !w.is_empty() {
             match self.data.windows.binary_search_by_key(&w.index, |x| x.index) {
@@ -385,9 +412,6 @@ impl TimeSeriesCollector {
                 Err(i) => self.data.windows.insert(i, w),
             }
         }
-        self.base_counters = cur.counters;
-        self.base_gauges = cur.gauges;
-        self.base_histograms = cur.histograms;
     }
 }
 
@@ -498,5 +522,108 @@ mod tests {
         assert!(csv.starts_with("window,start_ns,kind,name,field,value\n"));
         assert!(csv.contains("0,0,counter,ops,value,4\n"));
         assert!(csv.contains("histogram,lat,count,1\n"));
+    }
+
+    /// The dump-and-diff window close the collector used to run, kept as
+    /// the reference: deep-copy the registry with `dump()` and diff
+    /// name-keyed maps against the previous copy.
+    struct DumpDiffReference {
+        base: crate::metrics::MetricsDump,
+        data: SeriesData,
+    }
+
+    impl DumpDiffReference {
+        fn close(&mut self, index: u64, registry: &Registry) {
+            let cur = registry.dump();
+            let mut w = SeriesWindow::empty(index);
+            for (name, v) in &cur.counters {
+                let base = self.base.counters.get(name).copied().unwrap_or(0);
+                if *v != base {
+                    w.counters.insert(name.clone(), v - base);
+                }
+            }
+            for (name, v) in &cur.gauges {
+                let changed = self
+                    .base
+                    .gauges
+                    .get(name)
+                    .is_none_or(|b| b.to_bits() != v.to_bits());
+                if changed {
+                    w.gauges.insert(name.clone(), *v);
+                }
+            }
+            for (name, h) in &cur.histograms {
+                let delta = match self.base.histograms.get(name) {
+                    Some(base) => h.delta_since(base),
+                    None => h.clone(),
+                };
+                if delta.count() > 0 {
+                    w.histograms.insert(name.clone(), delta);
+                }
+            }
+            if !w.is_empty() {
+                match self.data.windows.binary_search_by_key(&w.index, |x| x.index) {
+                    Ok(i) => self.data.windows[i].merge_from(&w),
+                    Err(i) => self.data.windows.insert(i, w),
+                }
+            }
+            self.base = cur;
+        }
+    }
+
+    /// Random metric activity — metrics registered mid-run (some never
+    /// moving), untouched and re-set gauges, quiet stretches, clocks
+    /// running backwards, and mid-run flushes that re-open the tail
+    /// window — must serialize byte-for-byte like the reference.
+    #[test]
+    fn window_close_matches_dump_and_diff_reference() {
+        use kona_types::rng::{Rng, StdRng};
+        for seed in 0..24u64 {
+            let mut rng = StdRng::seed_from_u64(0x7157 + seed);
+            let mut reg = Registry::new();
+            let mut new = TimeSeriesCollector::new(100);
+            let mut reference = DumpDiffReference {
+                base: Default::default(),
+                data: SeriesData::new(100),
+            };
+            let mut now = 0u64;
+            let name = |kind: &str, rng: &mut StdRng| format!("{kind}.m{:02}", rng.gen_range(0u32..10));
+            for _ in 0..rng.gen_range(50usize..400) {
+                match rng.gen_range(0u8..12) {
+                    0..=2 => reg.counter(&name("c", &mut rng)).add(rng.gen_range(0u64..4)),
+                    3 => reg.gauge(&name("g", &mut rng)).set(rng.gen_range(0u32..3) as f64 * 0.5),
+                    4 => {
+                        // Registered, possibly never set: its first close
+                        // still reports the 0.0 it holds.
+                        reg.gauge(&name("g,\"q\"", &mut rng));
+                    }
+                    5..=6 => reg.histogram(&name("h", &mut rng)).record(rng.gen_range(0u64..100_000)),
+                    7 => {
+                        reg.histogram(&name("h", &mut rng));
+                    }
+                    8 => {
+                        // Mid-run series(): close the tail, keep going in
+                        // the same window.
+                        new.flush(&reg);
+                        reference.close(new.open_index, &reg);
+                    }
+                    9 => now += rng.gen_range(500u64..5_000), // quiet windows
+                    10 => now = now.saturating_sub(rng.gen_range(1u64..300)), // lagging clock
+                    _ => now += rng.gen_range(1u64..120),
+                }
+                // The reference closes whichever window the collector
+                // decides to close; only the diffing is under test.
+                let open = new.open_index;
+                new.observe(Nanos::from_ns(now), &reg);
+                if new.open_index != open {
+                    reference.close(open, &reg);
+                }
+            }
+            new.flush(&reg);
+            reference.close(new.open_index, &reg);
+            assert!(new.len() > 3, "seed {seed}: {} windows", new.len());
+            assert_eq!(new.data().to_json(), reference.data.to_json(), "seed {seed}");
+            assert_eq!(new.data().to_csv(), reference.data.to_csv(), "seed {seed}");
+        }
     }
 }
