@@ -1,67 +1,22 @@
-//! A per-CPU cache agent holding MESI line states.
+//! The reference cache agent: a map from line to MESI state plus a
+//! hashed LRU index. Test-only — the twin test in [`crate::reference`]
+//! drives it against the page-indexed implementation.
 
-use crate::lru::LruList;
-use kona_types::{FxHashMap, LineIndex};
-
-/// MESI stable states for a line in a cache agent.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum LineState {
-    /// Dirty, exclusive copy.
-    Modified,
-    /// Clean, exclusive copy (silent upgrade to Modified allowed).
-    Exclusive,
-    /// Clean, possibly shared copy.
-    Shared,
-}
-
-impl LineState {
-    /// Whether this state permits a write hit without a directory message.
-    pub fn writable(self) -> bool {
-        matches!(self, LineState::Modified | LineState::Exclusive)
-    }
-
-    /// Whether the copy is dirty with respect to memory.
-    pub fn dirty(self) -> bool {
-        matches!(self, LineState::Modified)
-    }
-}
-
-/// Per-agent counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AgentStats {
-    /// Read or write hits served entirely by this cache.
-    pub hits: u64,
-    /// Accesses requiring a directory transaction.
-    pub misses: u64,
-    /// Lines displaced by capacity.
-    pub capacity_evictions: u64,
-    /// Invalidation messages honoured.
-    pub invalidations_received: u64,
-}
+use crate::state::{AgentStats, LineState};
+use kona_types::{FxHashMap, LineIndex, SlabLru};
 
 /// A CPU cache at line granularity: a capacity-bounded map from line to
 /// MESI state with LRU replacement.
 ///
-/// Agents do not act on their own; [`crate::CoherenceSystem`] drives them
-/// and the directory together. The public surface is useful for inspecting
-/// protocol state in tests and in the FPGA model.
-///
-/// # Examples
-///
-/// ```
-/// # use kona_coherence::{CacheAgent, LineState};
-/// # use kona_types::LineIndex;
-/// let mut a = CacheAgent::new(2);
-/// a.install(LineIndex(1), LineState::Exclusive);
-/// assert_eq!(a.state(LineIndex(1)), Some(LineState::Exclusive));
-/// ```
+/// Agents do not act on their own; [`crate::reference::RefSystem`]
+/// drives them and the directory together.
 #[derive(Debug, Clone)]
 pub struct CacheAgent {
     capacity: usize,
     /// Fx-hashed: line numbers are simulator-generated, not adversarial,
     /// and this map is probed on every access.
     lines: FxHashMap<u64, LineState>,
-    lru: LruList,
+    lru: SlabLru,
     stats: AgentStats,
 }
 
@@ -76,7 +31,7 @@ impl CacheAgent {
         CacheAgent {
             capacity,
             lines: FxHashMap::default(),
-            lru: LruList::with_capacity(capacity),
+            lru: SlabLru::with_capacity(capacity),
             stats: AgentStats::default(),
         }
     }
@@ -89,11 +44,6 @@ impl CacheAgent {
     /// Number of cached lines.
     pub fn len(&self) -> usize {
         self.lines.len()
-    }
-
-    /// Returns `true` if no lines are cached.
-    pub fn is_empty(&self) -> bool {
-        self.lines.is_empty()
     }
 
     /// Counters.

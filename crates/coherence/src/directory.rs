@@ -1,33 +1,10 @@
-//! The coherence directory (home agent).
+//! The reference directory: one hashed [`DirEntry`] per tracked line.
+//! Test-only — see [`crate::reference`].
 
+use crate::state::DirEntry;
 use kona_types::{FxHashMap, LineIndex};
 
-/// Directory-side state for one line.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DirEntry {
-    /// No cache holds the line.
-    Uncached,
-    /// One or more caches hold clean copies.
-    Shared(Vec<u32>),
-    /// Exactly one cache holds the line in Exclusive or Modified state.
-    Owned(u32),
-}
-
-/// The directory maps lines to their sharers/owner. Kona's FPGA implements
-/// exactly this structure for VFMem ("The FPGA implements a memory agent
-/// that maintains a directory for VFMem, similar to current directories in
-/// the CPU", §4.3).
-///
-/// # Examples
-///
-/// ```
-/// # use kona_coherence::{DirEntry, Directory};
-/// # use kona_types::LineIndex;
-/// let mut dir = Directory::new();
-/// dir.set(LineIndex(3), DirEntry::Owned(0));
-/// assert_eq!(dir.entry(LineIndex(3)), DirEntry::Owned(0));
-/// assert_eq!(dir.entry(LineIndex(4)), DirEntry::Uncached);
-/// ```
+/// The directory maps lines to their sharers/owner.
 #[derive(Debug, Clone, Default)]
 pub struct Directory {
     /// Fx-hashed: probed on every directory transaction.

@@ -6,17 +6,29 @@
 //! every line the CPU pulls in and a writeback for every modified line the
 //! CPU evicts. This crate simulates that machinery:
 //!
-//! * [`CacheAgent`] — a CPU cache at line granularity with MESI states and
-//!   LRU capacity evictions.
-//! * [`Directory`] — the home agent tracking owner/sharers per line.
-//! * [`CoherenceSystem`] — wires agents and directory together, exposes
+//! * [`CoherenceSystem`] — CPU caches at line granularity (MESI states,
+//!   LRU capacity evictions) and the home agent's directory, behind
 //!   [`CoherenceSystem::read`] / [`CoherenceSystem::write`] /
-//!   [`CoherenceSystem::recall`] (the FPGA's snoop), and queues
-//!   [`WritebackEvent`]s — precisely the stream the Kona FPGA turns into
-//!   dirty cache-line bitmaps (the `track-local-data` primitive).
+//!   [`CoherenceSystem::recall`] (the FPGA's snoop) /
+//!   [`CoherenceSystem::invalidate_page`] (the FPGA expelling a page),
+//!   queueing [`WritebackEvent`]s — precisely the stream the Kona FPGA
+//!   turns into dirty cache-line bitmaps (the `track-local-data`
+//!   primitive).
+//! * [`LineState`], [`DirEntry`], [`AgentStats`] — what
+//!   [`CoherenceSystem::agent_state`], [`CoherenceSystem::directory_entry`]
+//!   and [`CoherenceSystem::agent_stats`] report, for inspecting protocol
+//!   state in tests and in the FPGA model.
+//!
+//! Like the hardware directory it models ("a directory for VFMem, similar
+//! to current directories in the CPU", §4.3), the state is an indexed
+//! table, not a hash map per line: one record per *page* holds the 64
+//! directory words and the LRU positions of its cached lines, so a cache
+//! hit touches no hash table and the table never outgrows what the caches
+//! hold.
 //!
 //! The protocol maintains the single-writer/multiple-reader invariant,
-//! verified by property tests.
+//! verified by property tests, by [`CoherenceSystem::check_invariants`]
+//! and by a twin test against the previous map-per-line implementation.
 //!
 //! # Examples
 //!
@@ -36,13 +48,19 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+#[cfg(test)]
 mod agent;
+#[cfg(test)]
 mod directory;
-mod lru;
+mod line_list;
+mod page_table;
+#[cfg(test)]
+mod reference;
+mod state;
 mod system;
 
-pub use agent::{AgentStats, CacheAgent, LineState};
-pub use directory::{DirEntry, Directory};
+pub use page_table::MAX_AGENTS;
+pub use state::{AgentStats, DirEntry, LineState};
 pub use system::{
     AccessResult, AgentId, CoherenceStats, CoherenceSystem, WritebackCause, WritebackEvent,
 };

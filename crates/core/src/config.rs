@@ -402,8 +402,9 @@ impl ClusterConfig {
     ///
     /// Returns [`KonaError::InvalidConfig`] when sizes are zero, the slab
     /// size is not page-aligned or exceeds the node capacity, the replica
-    /// count is zero or exceeds the node count, or the local cache is not
-    /// divisible into FMem sets.
+    /// count is zero or exceeds the node count, the local cache is not
+    /// divisible into FMem sets, or `cpu_agents` exceeds the coherence
+    /// directory's sharer mask ([`kona_coherence::MAX_AGENTS`]).
     pub fn validate(&self) -> Result<()> {
         let fail = |msg: String| Err(KonaError::InvalidConfig(msg));
         if self.memory_nodes == 0 {
@@ -437,6 +438,13 @@ impl ClusterConfig {
         }
         if self.cpu_agents == 0 {
             return fail("at least one CPU agent required".into());
+        }
+        if self.cpu_agents > kona_coherence::MAX_AGENTS {
+            return fail(format!(
+                "cpu_agents {} exceeds the coherence directory's limit of {}",
+                self.cpu_agents,
+                kona_coherence::MAX_AGENTS
+            ));
         }
         if self.log_capacity.bytes() < 1024 {
             return fail("cache-line log must be at least 1 KiB".into());

@@ -1659,6 +1659,20 @@ mod tests {
         assert_eq!(rt.stats().remote_fetches, fetches);
     }
 
+    /// The directory's sharer mask caps the agent count; asking for more
+    /// is a configuration error, not a panic inside the coherence crate.
+    #[test]
+    fn too_many_cpu_agents_is_a_typed_error() {
+        let limit = kona_coherence::MAX_AGENTS;
+        assert!(KonaRuntime::new(ClusterConfig::small().with_cpu_agents(limit)).is_ok());
+        match KonaRuntime::new(ClusterConfig::small().with_cpu_agents(limit + 1)) {
+            Err(KonaError::InvalidConfig(msg)) => {
+                assert!(msg.contains("cpu_agents") && msg.contains(&limit.to_string()));
+            }
+            other => panic!("expected InvalidConfig, got {:?}", other.map(|_| ())),
+        }
+    }
+
     #[test]
     fn hardware_copy_engine_reduces_background_time() {
         let mk = |engine| {

@@ -448,9 +448,7 @@ impl KonaFpga {
     /// tracker, and package the victim.
     fn expel_page(&mut self, page: PageNumber) -> VictimPage {
         let first_line = page.raw() * (PAGE_SIZE_4K / 64);
-        for i in 0..LINES_PER_PAGE_4K as u64 {
-            self.coherence.invalidate_all(LineIndex(first_line + i));
-        }
+        self.coherence.invalidate_page(LineIndex(first_line));
         self.absorb_writebacks();
         let dirty_lines = self
             .dirty
@@ -476,7 +474,7 @@ impl KonaFpga {
     }
 
     fn absorb_writebacks(&mut self) {
-        for event in self.coherence.drain_writebacks() {
+        while let Some(event) = self.coherence.pop_writeback() {
             self.stats.writebacks_observed += 1;
             self.dirty.mark(event.line);
         }

@@ -414,15 +414,30 @@ impl Fabric {
             }
         }
 
-        let sizes: Vec<u64> = chain.iter().map(WorkRequest::wire_bytes).collect();
+        // A one-request chain — every page fetch — sizes and books its
+        // link from the stack; only longer chains build collections.
+        let lone = match chain.as_slice() {
+            [wr] => Some((wr.remote.node(), [wr.wire_bytes()])),
+            _ => None,
+        };
+        let many: Vec<u64>;
+        let sizes: &[u64] = match &lone {
+            Some((_, size)) => size,
+            None => {
+                many = chain.iter().map(WorkRequest::wire_bytes).collect();
+                &many
+            }
+        };
         let signaled = chain.iter().filter(|w| w.is_signaled).count();
         let lead_opcode = chain.first().map(|w| w.opcode);
         // WRs per destination node, for per-link queue depth accounting
         // (BTreeMap so links are visited in node order, deterministically).
         let mut wrs_per_node: std::collections::BTreeMap<u32, u64> =
             std::collections::BTreeMap::new();
-        for wr in &chain {
-            *wrs_per_node.entry(wr.remote.node()).or_default() += 1;
+        if lone.is_none() {
+            for wr in &chain {
+                *wrs_per_node.entry(wr.remote.node()).or_default() += 1;
+            }
         }
         let mut completions = Vec::with_capacity(signaled);
 
@@ -500,6 +515,7 @@ impl Fabric {
                         .expect("validated above");
                     Bytes::new()
                 }
+                // The one copy of a read: registered slice to payload.
                 Opcode::Read => Bytes::from(
                     node.rdma_read(wr.remote.offset(), wr.read_len)
                         .expect("validated above"),
@@ -525,20 +541,15 @@ impl Fabric {
             Some(inj) => inj.extra_latency(self.clock),
             None => Nanos::ZERO,
         };
-        let time = self.model.chain_time(&sizes, signaled) + self.injected_delay + spike;
+        let time = self.model.chain_time(sizes, signaled) + self.injected_delay + spike;
         self.clock += time;
-        // Per-link occupancy: each of the chain's WRs was in flight on its
-        // destination link for the chain's duration. The time-integral
-        // counter (WR·ns) divided by a sampling window's width yields that
-        // window's mean queue depth; the histogram keeps chain depths.
-        for (node_id, n) in wrs_per_node {
-            let link = self
-                .links
-                .entry(node_id)
-                .or_insert_with(|| LinkStats::new(&self.telemetry, node_id));
-            link.wrs.add(n);
-            link.inflight_ns.add(time.as_ns().saturating_mul(n));
-            link.depth.record(n);
+        match lone {
+            Some((node_id, _)) => self.book_link(node_id, 1, time),
+            None => {
+                for (node_id, n) in wrs_per_node {
+                    self.book_link(node_id, n, time);
+                }
+            }
         }
         if signaled > 0 {
             self.net.signaled_chain_ns.record(time.as_ns());
@@ -559,6 +570,21 @@ impl Fabric {
         }
         self.telemetry.observe_time(self.clock);
         Ok((time, completions))
+    }
+
+    /// Per-link occupancy: each of a chain's `wrs` requests to `node_id`
+    /// was in flight on that link for the chain's duration. The
+    /// time-integral counter (WR·ns) divided by a sampling window's width
+    /// yields that window's mean queue depth; the histogram keeps chain
+    /// depths.
+    fn book_link(&mut self, node_id: u32, wrs: u64, time: Nanos) {
+        let link = self
+            .links
+            .entry(node_id)
+            .or_insert_with(|| LinkStats::new(&self.telemetry, node_id));
+        link.wrs.add(wrs);
+        link.inflight_ns.add(time.as_ns().saturating_mul(wrs));
+        link.depth.record(wrs);
     }
 }
 

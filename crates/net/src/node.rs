@@ -154,15 +154,15 @@ impl NodeMemory {
     }
 
     /// Reads `len` bytes at `offset` as an RDMA READ (registration
-    /// checked).
+    /// checked). Borrows the pool, so the caller makes the only copy.
     ///
     /// # Errors
     ///
     /// Returns [`KonaError::UnregisteredMemory`] if the range is not
     /// registered.
-    pub fn rdma_read(&self, offset: u64, len: u64) -> Result<Vec<u8>> {
+    pub fn rdma_read(&self, offset: u64, len: u64) -> Result<&[u8]> {
         self.check_registered(offset, len)?;
-        Ok(self.read_bytes(offset, len).to_vec())
+        Ok(self.read_bytes(offset, len))
     }
 
     /// Local (non-RDMA) write by the node's own CPU, e.g. the cache-line
