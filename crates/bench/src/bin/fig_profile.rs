@@ -13,22 +13,13 @@
 //!    `--shards`), plus the queueing table: per-fabric-link in-flight
 //!    depth and per-memory-node apply backlog folded from the windowed
 //!    series. `--profile-out`/`--flame-out` export this scenario's
-//!    profile — the same scenario `bench_report` regenerates, which is
-//!    what makes the committed `PROFILE_BASELINE.json` comparable.
+//!    profile.
 //!
 //! The run self-gates: per-path self times must sum exactly to per-track
 //! root totals (conservation violations == 0), and an in-process replay
 //! re-runs the scenario serially and byte-compares the JSON, collapsed
 //! stacks and queueing table against the `--shards`-wide run. Exit is
 //! non-zero on any violation.
-//!
-//! `--slow-wire N` adds N ns to every posted chain (a deterministic
-//! whole-run congestion window) — the CI blame demo runs this and
-//! expects `prof_diff` to attribute the regression to the verb path.
-//!
-//! Host wall-clock scope totals (eviction pack, shipment apply,
-//! compaction, shard merge) print to **stderr**: they are real time and
-//! nondeterministic, so they never enter the byte-compared transcript.
 //!
 //! ```bash
 //! cargo run --release --bin fig_profile -- --quick
@@ -42,11 +33,9 @@ use kona_bench::{
 };
 use kona_cluster::{ClusterRuntime, ControlPlaneConfig};
 use kona_net::FaultPlan;
-use kona_telemetry::{
-    host_profile_start, host_profile_stop, Profile, QueueStats, Telemetry, DEFAULT_WINDOW_NS,
-};
+use kona_telemetry::{Profile, QueueStats, Telemetry, DEFAULT_WINDOW_NS};
 use kona_types::rng::{Rng, StdRng};
-use kona_types::{align_up, par_map, ByteSize, Nanos, Shards, PAGE_SIZE_4K};
+use kona_types::{align_up, par_map, ByteSize, Shards, PAGE_SIZE_4K};
 use kona_workloads::WorkloadProfile;
 use std::process::ExitCode;
 
@@ -206,15 +195,7 @@ fn main() -> ExitCode {
         .value_of("top")
         .map(|s| s.parse().expect("--top takes an integer"))
         .unwrap_or(TOP_K);
-    let slow_wire = Nanos::from_ns(
-        opts.value_of("slow-wire")
-            .map(|s| s.parse().expect("--slow-wire takes nanoseconds"))
-            .unwrap_or(0),
-    );
     println!("seed: {seed}, trace ring: {capacity}, top: {top}");
-    if slow_wire > Nanos::ZERO {
-        println!("slow-wire: +{} ns per posted chain (blame demo)", slow_wire.as_ns());
-    }
 
     let mut violations = 0u64;
     let mut dropped = 0u64;
@@ -241,8 +222,7 @@ fn main() -> ExitCode {
 
     // Part 2: the canonical shard scenario — per-shard folds merged by
     // path key, plus the queueing table from the merged windowed series.
-    host_profile_start();
-    let report = profile_scenario(seed, quick, opts.shards(), capacity, slow_wire);
+    let report = profile_scenario(seed, quick, opts.shards(), capacity);
     let profile = report.profile.clone().expect("tracing was on");
     println!("\n--- shard scenario (logical {}, calm plan) ---", report.plan.logical());
     print_top_paths(&profile, top);
@@ -264,22 +244,9 @@ fn main() -> ExitCode {
     println!();
     print!("{}", render_queue_tables(&cluster_queues));
 
-    // Host wall-clock side of the same hot paths — real time, therefore
-    // stderr only (the stdout transcript is byte-compared in CI).
-    let host_rows = host_profile_stop();
-    if !host_rows.is_empty() {
-        eprintln!("\nhost wall-clock scopes (nondeterministic, not part of the transcript):");
-        for row in &host_rows {
-            eprintln!(
-                "  {:<16} calls={:<8} total={:>12} ns  max={:>10} ns",
-                row.name, row.calls, row.total_ns, row.max_ns
-            );
-        }
-    }
-
     // In-process determinism witness: a serial re-run must reproduce the
     // profile and queueing table byte-for-byte.
-    let replay = profile_scenario(seed, quick, Shards::serial(), capacity, slow_wire);
+    let replay = profile_scenario(seed, quick, Shards::serial(), capacity);
     let replay_profile = replay.profile.expect("tracing was on");
     let replay_queues =
         QueueStats::from_series(replay.series.as_ref().expect("windows were on"));

@@ -18,7 +18,7 @@ use kona_workloads::{
 };
 
 pub mod micro;
-pub use micro::{BenchGroup, ContentionModel};
+pub use micro::ContentionModel;
 
 /// Span events kept in the trace ring during instrumented runs.
 pub const TRACE_RING_CAPACITY: usize = 1 << 18;
@@ -86,14 +86,27 @@ impl ExpOptions {
         }
     }
 
-    /// The value following `--<key>`, if present.
+    /// The value following `--<key>`, if the flag is present. A flag
+    /// that is last, or followed by another `--flag`, has no value: that
+    /// is a usage error (stderr, exit code 2), never a file named after
+    /// the next flag.
     pub fn value_of(&self, key: &str) -> Option<&str> {
+        self.try_value_of(key).unwrap_or_else(|msg| {
+            eprintln!("{msg}");
+            std::process::exit(2);
+        })
+    }
+
+    fn try_value_of(&self, key: &str) -> Result<Option<&str>, String> {
         let flag = format!("--{key}");
-        self.args
-            .iter()
-            .position(|a| a == &flag)
-            .and_then(|i| self.args.get(i + 1))
-            .map(String::as_str)
+        let Some(i) = self.args.iter().position(|a| a == &flag) else {
+            return Ok(None);
+        };
+        match self.args.get(i + 1) {
+            Some(v) if !v.starts_with("--") => Ok(Some(v)),
+            Some(v) => Err(format!("usage: {flag} takes a value, got the flag {v}")),
+            None => Err(format!("usage: {flag} takes a value")),
+        }
     }
 
     /// The Table 2 / Fig 9 workload profile: 10 windows for full runs,
@@ -125,8 +138,7 @@ impl ExpOptions {
     }
 
     /// `--profile-out <path>`: folded simulated-time profile JSON
-    /// destination (the format `prof_diff` and [`Profile::from_json`]
-    /// read).
+    /// destination (the format [`Profile::from_json`] reads).
     pub fn profile_out(&self) -> Option<&str> {
         self.value_of("profile-out")
     }
@@ -312,15 +324,8 @@ pub const PROFILE_SCENARIO_LOGICAL: u32 = 8;
 ///
 /// The logical decomposition is fixed at [`PROFILE_SCENARIO_LOGICAL`], so
 /// the merged report — profile included — is byte-identical at any
-/// `shards` worker count. `fig_profile`, `bench_report` and the
-/// determinism tests all fold profiles from this one scenario, which is
-/// what makes the committed `PROFILE_BASELINE.json` comparable across
-/// all of them.
-///
-/// `slow_wire_extra` adds a deterministic congestion window covering the
-/// whole run (every posted chain pays the extra latency) — the CI blame
-/// demo uses it to inject a regression that `prof_diff` must attribute
-/// to the verb path.
+/// `shards` worker count. `fig_profile` and the determinism tests fold
+/// profiles from this one scenario.
 ///
 /// # Panics
 ///
@@ -331,24 +336,14 @@ pub fn profile_scenario(
     quick: bool,
     shards: Shards,
     trace_capacity: usize,
-    slow_wire_extra: Nanos,
 ) -> ShardReport {
     let ops = if quick { 2_000 } else { 12_000 };
     let script = seeded_script(PROFILE_SCENARIO_PAGES, ops, seed);
-    let mut plan = FaultPlan::calm(seed);
-    if slow_wire_extra > Nanos::ZERO {
-        // One long congestion window instead of a point spike: the demo
-        // regression must be visible regardless of where simulated time
-        // lands, and a whole-run window keeps the blame unambiguous.
-        plan = plan
-            .named("slow-wire")
-            .with_spike(Nanos::ZERO, Nanos::secs(3_600), slow_wire_extra);
-    }
     let mut cfg = ClusterConfig::small().with_replicas(2);
     cfg.memory_nodes = 3;
     cfg.local_cache_pages = 64;
     cfg.cpu_cache_lines = 512;
-    cfg.fault_plan = Some(plan);
+    cfg.fault_plan = Some(FaultPlan::calm(seed));
     ShardedRun::new(cfg, PROFILE_SCENARIO_PAGES)
         .with_plan(ShardPlan::new(PROFILE_SCENARIO_LOGICAL))
         .with_windows(DEFAULT_WINDOW_NS)
@@ -471,6 +466,20 @@ mod tests {
         assert_eq!(opts.value_of("missing"), None);
         assert_eq!(opts.table_profile().windows, 10);
         assert_eq!(opts.jobs.get(), 3);
+
+        // A flag is never taken as another flag's value.
+        let opts = ExpOptions {
+            args: vec!["--profile-out".into(), "--quick".into(), "--seed".into()],
+            ..ExpOptions::default()
+        };
+        assert_eq!(
+            opts.try_value_of("profile-out"),
+            Err("usage: --profile-out takes a value, got the flag --quick".into())
+        );
+        assert_eq!(
+            opts.try_value_of("seed"),
+            Err("usage: --seed takes a value".into())
+        );
     }
 
     #[test]

@@ -1,19 +1,6 @@
-//! A tiny wall-clock micro-benchmark harness.
-//!
-//! The workspace builds with no external dependencies, so the
-//! `benches/` binaries use this `std::time::Instant`-based harness
-//! instead of criterion. It keeps the same shape — named groups, per-case
-//! throughput, warm-up then timed samples — and prints one line per case:
-//!
-//! ```text
-//! rdma/post_chain_256x64B            12.3 µs/iter   20.8 Melem/s
-//! ```
-//!
-//! Results are informational (simulator host cost); nothing gates on
-//! them, so the harness favors short runs over statistical rigor.
+//! The thread-contention projection `fig7` applies to single-thread runs.
 
 use kona_types::Nanos;
-use std::time::{Duration, Instant};
 
 /// Amdahl-style serial-fraction contention model for multi-threaded
 /// experiment projections.
@@ -63,90 +50,6 @@ impl ContentionModel {
     }
 }
 
-/// Target measurement time per case.
-const MEASURE: Duration = Duration::from_millis(300);
-/// Target warm-up time per case.
-const WARM_UP: Duration = Duration::from_millis(100);
-
-/// A named collection of benchmark cases (mirrors criterion's
-/// `BenchmarkGroup`).
-pub struct BenchGroup {
-    name: String,
-    /// Elements processed per iteration, for throughput reporting.
-    throughput: Option<u64>,
-}
-
-impl BenchGroup {
-    /// Starts a group; `finish` ends it (a no-op, for call-site symmetry).
-    pub fn new(name: &str) -> Self {
-        BenchGroup {
-            name: name.to_string(),
-            throughput: None,
-        }
-    }
-
-    /// Sets the per-iteration element count used for throughput lines.
-    pub fn throughput_elements(&mut self, elements: u64) {
-        self.throughput = Some(elements);
-    }
-
-    /// Runs one case: warm up, then time whole iterations until the
-    /// measurement budget is spent, and print the mean.
-    pub fn bench_function<O>(&mut self, case: &str, mut body: impl FnMut() -> O) {
-        let mut iters = 0u32;
-        let warm = Instant::now();
-        while warm.elapsed() < WARM_UP || iters == 0 {
-            std::hint::black_box(body());
-            iters += 1;
-        }
-
-        let mut samples = 0u32;
-        let start = Instant::now();
-        while start.elapsed() < MEASURE || samples == 0 {
-            std::hint::black_box(body());
-            samples += 1;
-        }
-        let per_iter = start.elapsed().as_secs_f64() / f64::from(samples);
-
-        let label = format!("{}/{}", self.name, case);
-        let rate = self.throughput.map(|n| n as f64 / per_iter);
-        match rate {
-            Some(r) => println!(
-                "{label:<48} {:>12}/iter {:>14}/s",
-                fmt_time(per_iter),
-                fmt_count(r)
-            ),
-            None => println!("{label:<48} {:>12}/iter", fmt_time(per_iter)),
-        }
-    }
-
-    /// Ends the group.
-    pub fn finish(self) {}
-}
-
-fn fmt_time(secs: f64) -> String {
-    let ns = secs * 1e9;
-    if ns < 1_000.0 {
-        format!("{ns:.1} ns")
-    } else if ns < 1_000_000.0 {
-        format!("{:.1} µs", ns / 1_000.0)
-    } else if ns < 1_000_000_000.0 {
-        format!("{:.2} ms", ns / 1_000_000.0)
-    } else {
-        format!("{secs:.2} s")
-    }
-}
-
-fn fmt_count(rate: f64) -> String {
-    if rate < 1_000.0 {
-        format!("{rate:.0} elem")
-    } else if rate < 1_000_000.0 {
-        format!("{:.1} Kelem", rate / 1_000.0)
-    } else {
-        format!("{:.1} Melem", rate / 1_000_000.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -163,16 +66,5 @@ mod tests {
     #[should_panic]
     fn contention_fraction_out_of_range() {
         ContentionModel::new(1.5);
-    }
-
-    #[test]
-    fn formatting() {
-        assert_eq!(fmt_time(5e-9), "5.0 ns");
-        assert_eq!(fmt_time(2.5e-6), "2.5 µs");
-        assert_eq!(fmt_time(3e-3), "3.00 ms");
-        assert_eq!(fmt_time(1.5), "1.50 s");
-        assert_eq!(fmt_count(500.0), "500 elem");
-        assert_eq!(fmt_count(2_500.0), "2.5 Kelem");
-        assert_eq!(fmt_count(7_000_000.0), "7.0 Melem");
     }
 }

@@ -9,7 +9,7 @@
 //! per-entry decode plus streaming-copy costs to the node's local clock.
 
 use kona::{CacheLineLog, LogEntry};
-use kona_telemetry::{host_scope, EventKind, Gauge, Histogram, Telemetry, Track};
+use kona_telemetry::{EventKind, Gauge, Histogram, Telemetry, Track};
 use kona_types::{
     FxHashMap, KonaError, LineBitmap, Nanos, RemoteAddr, CACHE_LINE_SIZE, LINES_PER_PAGE_4K,
     PAGE_SIZE_4K,
@@ -319,7 +319,6 @@ impl MemoryNodeRuntime {
         if self.backlog.is_empty() {
             return Nanos::ZERO;
         }
-        let _wall = host_scope("shipment_apply");
         let entries = self.compact_backlog();
         let span = self.telemetry.span_open(Track::Cluster, EventKind::LogApply);
         let mut elapsed = Nanos::ZERO;
@@ -348,7 +347,6 @@ impl MemoryNodeRuntime {
     /// completely), and folds a page's surviving entries into one
     /// full-page image once its dirty ratio crosses the fold threshold.
     fn compact_backlog(&mut self) -> Vec<LogEntry> {
-        let _wall = host_scope("compaction");
         let mut input: Vec<LogEntry> = Vec::new();
         while let Some((_, epoch, encoded)) = self.backlog.pop_front() {
             self.backlog_bytes -= encoded.len() as u64;

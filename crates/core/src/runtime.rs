@@ -1692,6 +1692,67 @@ mod tests {
         assert!(hw < sw, "dma {hw} should beat software {sw}");
     }
 
+    /// §4.5 ablation: eviction is off the critical path, so every extra
+    /// replica costs the background thread and leaves app time alone.
+    #[test]
+    fn replicas_slow_eviction_but_not_the_app() {
+        let run = |replicas| {
+            let mut cfg = ClusterConfig::small()
+                .with_local_cache_pages(4)
+                .with_replicas(replicas);
+            cfg.memory_nodes = 3;
+            cfg.cpu_cache_lines = 64;
+            let mut rt = KonaRuntime::new(cfg).unwrap();
+            let addr = rt.allocate(64 * 4096).unwrap();
+            for p in 0..64u64 {
+                rt.access(MemAccess::write(addr + p * 4096, 8)).unwrap();
+            }
+            // Read app time before the sync: a sync waits for every
+            // replica's flush on the caller's clock by design.
+            let app = rt.stats().app_time;
+            rt.sync().unwrap();
+            (app, rt.eviction_breakdown().total())
+        };
+        let (app1, evict1) = run(1);
+        let (app2, evict2) = run(2);
+        let (app3, evict3) = run(3);
+        assert!(
+            app1 == app2 && app2 == app3,
+            "replication must not reach the app: {app1} {app2} {app3}"
+        );
+        assert!(
+            evict1 < evict2 && evict2 < evict3,
+            "eviction cost must grow per replica: {evict1} {evict2} {evict3}"
+        );
+    }
+
+    /// §3 ablation: next-page prefetch turns a sequential scan's demand
+    /// fetches into background work — something a page-fault system
+    /// cannot do across page boundaries.
+    #[test]
+    fn next_page_prefetch_speeds_up_a_sequential_scan() {
+        let scan = |prefetcher| {
+            let cfg = ClusterConfig::small()
+                .timing_only()
+                .with_prefetcher(prefetcher)
+                .with_local_cache_pages(64);
+            let mut rt = KonaRuntime::new(cfg).unwrap();
+            let addr = rt.allocate(128 * 4096).unwrap();
+            for p in 0..128u64 {
+                rt.access(MemAccess::read(addr + p * 4096, 8)).unwrap();
+            }
+            rt.stats()
+        };
+        let off = scan(kona_fpga::NextPagePrefetcher::disabled());
+        let on = scan(kona_fpga::NextPagePrefetcher::new(2, 2));
+        assert_eq!(off.prefetches, 0);
+        assert!(on.prefetches > 0 && on.local_hits > off.local_hits);
+        assert!(
+            on.app_time < off.app_time && on.background_time > off.background_time,
+            "fetch time must move off the app: {on:?} vs {off:?}"
+        );
+    }
+
     /// Evicts the first page of `addr` out of the local cache and returns
     /// the node backing it.
     fn evict_first_page(rt: &mut KonaRuntime, addr: VirtAddr) -> u32 {

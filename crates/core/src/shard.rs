@@ -55,8 +55,7 @@ use kona_coherence::CoherenceStats;
 use kona_fpga::FpgaStats;
 use kona_net::{FaultStats, NetStats};
 use kona_telemetry::{
-    host_scope, merge_span_streams, MetricsDump, Profile, Registry, SeriesData, SpanEvent,
-    Telemetry,
+    merge_span_streams, MetricsDump, Profile, Registry, SeriesData, SpanEvent, Telemetry,
 };
 use kona_types::rng::{Rng, StdRng};
 use kona_types::{
@@ -445,7 +444,6 @@ impl ShardedRun {
         let mut series: Option<SeriesData> = None;
         let mut profile: Option<Profile> = None;
         let mut app_time_max = Nanos::ZERO;
-        let _wall = host_scope("shard_merge");
         for outcome in &merged {
             stats.merge(&outcome.stats);
             eviction.merge(&outcome.eviction);

@@ -76,10 +76,7 @@ pub use monitor::{
     Alert, AlertTransition, HealthMonitor, HealthReport, Rule, RuleKind, RuleOutcome, Selector,
     SeriesField,
 };
-pub use profile::{
-    host_profile_start, host_profile_stop, host_scope, DiffRow, HostScope, HostScopeStats,
-    LinkQueue, NodeQueue, PathStats, Profile, ProfileDiff, QueueStats,
-};
+pub use profile::{LinkQueue, NodeQueue, PathStats, Profile, QueueStats};
 pub use recorder::{NoopRecorder, Recorder, TraceRecorder};
 pub use timeseries::{SeriesData, SeriesWindow, DEFAULT_WINDOW_NS};
 pub use trace::{traces_to_json, OpKind, SpanToken, TraceRecord};

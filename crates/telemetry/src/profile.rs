@@ -1,5 +1,5 @@
-//! Deterministic simulated-time profiling, host wall-clock scopes and
-//! queueing/occupancy folding.
+//! Deterministic simulated-time profiling and queueing/occupancy
+//! folding.
 //!
 //! [`Profile`] folds one telemetry's span stream into a weighted
 //! call-path tree: for every `(charge track, span-name path)` it keeps
@@ -22,23 +22,15 @@
 //! Two export formats ship: collapsed stacks (`frame;frame;... value`,
 //! the format `flamegraph.pl` and inferno consume directly, weighted by
 //! self nanoseconds) and a line-oriented JSON document that
-//! [`Profile::from_json`] reads back, so [`ProfileDiff`] can compare a
-//! committed baseline against a fresh run and name the regressed path.
+//! [`Profile::from_json`] reads back.
 //!
-//! [`HostScope`] is the wall-clock side: coarse RAII scopes over the hot
-//! paths the bench gate watches (eviction pack, shipment apply,
-//! compaction, shard merge). Scopes are process-global, atomically
-//! gated, and near-free while disabled; their numbers are *host* time
-//! and therefore nondeterministic — they are reported on stderr or in
-//! bench reports, never in byte-compared artifacts.
+//! Everything here is a function of simulated time only; host time is
+//! measured from outside, by `benchmark/`.
 
 use crate::event::{SpanEvent, Track};
 use crate::timeseries::SeriesData;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, OnceLock};
-use std::time::Instant;
 
 /// Weight of one call path in a [`Profile`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -380,98 +372,6 @@ fn scan_str_field(line: &str, field: &str) -> Option<String> {
     Some(rest[..end].to_string())
 }
 
-/// One path's self-time movement between two profiles.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DiffRow {
-    /// The `track;frame;...` path.
-    pub path: String,
-    /// Self nanoseconds in the baseline profile.
-    pub base_self_ns: u64,
-    /// Self nanoseconds in the current profile.
-    pub current_self_ns: u64,
-    /// `current - base` (signed).
-    pub delta_ns: i64,
-    /// `current / max(base, 1)` — new paths read as their absolute size.
-    pub ratio: f64,
-}
-
-/// A per-path comparison of two profiles, for blaming regressions on the
-/// path that actually moved instead of "something got slower".
-#[derive(Debug, Clone, Default)]
-pub struct ProfileDiff {
-    /// All paths present in either profile, largest absolute self-time
-    /// delta first (ties broken by path order).
-    pub rows: Vec<DiffRow>,
-}
-
-impl ProfileDiff {
-    /// Diffs `current` against `base` over the union of their paths.
-    pub fn between(base: &Profile, current: &Profile) -> ProfileDiff {
-        let mut paths: Vec<&String> = base.entries.keys().collect();
-        paths.extend(current.entries.keys());
-        paths.sort();
-        paths.dedup();
-        let mut rows: Vec<DiffRow> = paths
-            .into_iter()
-            .map(|path| {
-                let b = base.entries.get(path).copied().unwrap_or_default();
-                let c = current.entries.get(path).copied().unwrap_or_default();
-                DiffRow {
-                    path: path.clone(),
-                    base_self_ns: b.self_ns,
-                    current_self_ns: c.self_ns,
-                    delta_ns: c.self_ns as i64 - b.self_ns as i64,
-                    ratio: c.self_ns as f64 / b.self_ns.max(1) as f64,
-                }
-            })
-            .collect();
-        rows.sort_by(|a, b| {
-            b.delta_ns
-                .abs()
-                .cmp(&a.delta_ns.abs())
-                .then(a.path.cmp(&b.path))
-        });
-        ProfileDiff { rows }
-    }
-
-    /// The worst regression: among paths whose current self time is at
-    /// least `min_ns`, the grown path with the highest ratio. `None` when
-    /// nothing grew.
-    pub fn worst_regression(&self, min_ns: u64) -> Option<&DiffRow> {
-        self.rows
-            .iter()
-            .filter(|r| r.delta_ns > 0 && r.current_self_ns >= min_ns)
-            .max_by(|a, b| {
-                a.ratio
-                    .partial_cmp(&b.ratio)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(b.path.cmp(&a.path))
-            })
-    }
-
-    /// Renders the `top` largest movements as an aligned text table
-    /// (deterministic for identical inputs).
-    pub fn render(&self, top: usize) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "{:>14} {:>8} {:>14} {:>14}  path",
-            "delta(ns)", "ratio", "base self", "current self"
-        );
-        for row in self.rows.iter().take(top) {
-            let _ = writeln!(
-                out,
-                "{:>+14} {:>8.2} {:>14} {:>14}  {}",
-                row.delta_ns, row.ratio, row.base_self_ns, row.current_self_ns, row.path
-            );
-        }
-        if self.rows.is_empty() {
-            out.push_str("(no paths in either profile)\n");
-        }
-        out
-    }
-}
-
 /// Queue/occupancy weather for one fabric link (initiator → memory
 /// node), folded from the windowed series.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -570,85 +470,6 @@ impl QueueStats {
     /// Whether no queueing metrics were present in the series.
     pub fn is_empty(&self) -> bool {
         self.links.is_empty() && self.nodes.is_empty()
-    }
-}
-
-/// Wall-clock totals of one named host scope.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct HostScopeStats {
-    /// The scope name passed to [`host_scope`].
-    pub name: &'static str,
-    /// Times the scope was entered.
-    pub calls: u64,
-    /// Total host nanoseconds across all calls.
-    pub total_ns: u64,
-    /// Slowest single call.
-    pub max_ns: u64,
-}
-
-static HOST_ENABLED: AtomicBool = AtomicBool::new(false);
-
-fn host_stats() -> &'static Mutex<BTreeMap<&'static str, HostScopeStats>> {
-    static STATS: OnceLock<Mutex<BTreeMap<&'static str, HostScopeStats>>> = OnceLock::new();
-    STATS.get_or_init(|| Mutex::new(BTreeMap::new()))
-}
-
-/// Starts host wall-clock scope collection process-wide (clearing any
-/// previous totals). Scopes on *every* thread record until
-/// [`host_profile_stop`]; while stopped, [`host_scope`] costs one
-/// relaxed atomic load.
-pub fn host_profile_start() {
-    if let Ok(mut map) = host_stats().lock() {
-        map.clear();
-    }
-    HOST_ENABLED.store(true, Ordering::SeqCst);
-}
-
-/// Stops collection and drains the totals, largest first. Host times are
-/// nondeterministic by nature — report them on stderr or in bench
-/// output, never in byte-compared artifacts.
-pub fn host_profile_stop() -> Vec<HostScopeStats> {
-    HOST_ENABLED.store(false, Ordering::SeqCst);
-    let mut rows: Vec<HostScopeStats> = match host_stats().lock() {
-        Ok(mut map) => std::mem::take(&mut *map).into_values().collect(),
-        Err(_) => Vec::new(),
-    };
-    rows.sort_by(|a, b| b.total_ns.cmp(&a.total_ns).then(a.name.cmp(b.name)));
-    rows
-}
-
-/// An RAII wall-clock scope; the elapsed host time is recorded into the
-/// process-wide table when collection is on ([`host_profile_start`]).
-#[derive(Debug)]
-pub struct HostScope {
-    name: &'static str,
-    start: Option<Instant>,
-}
-
-/// Opens a named host wall-clock scope. Near-free (one atomic load)
-/// while collection is off.
-pub fn host_scope(name: &'static str) -> HostScope {
-    let start = HOST_ENABLED
-        .load(Ordering::Relaxed)
-        .then(Instant::now);
-    HostScope { name, start }
-}
-
-impl Drop for HostScope {
-    fn drop(&mut self) {
-        let Some(start) = self.start else {
-            return;
-        };
-        let elapsed = start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-        if let Ok(mut map) = host_stats().lock() {
-            let entry = map.entry(self.name).or_insert_with(|| HostScopeStats {
-                name: self.name,
-                ..HostScopeStats::default()
-            });
-            entry.calls += 1;
-            entry.total_ns += elapsed;
-            entry.max_ns = entry.max_ns.max(elapsed);
-        }
     }
 }
 
@@ -806,25 +627,6 @@ mod tests {
     }
 
     #[test]
-    fn diff_blames_the_grown_path() {
-        let base = Profile::from_spans(&sample_events());
-        let mut slow = sample_events();
-        // Inflate the app access' verb leaf 5x.
-        slow[0].duration = Nanos::from_ns(1_500);
-        slow[1].duration = Nanos::from_ns(2_200);
-        let current = Profile::from_spans(&slow);
-        let diff = ProfileDiff::between(&base, &current);
-        let worst = diff.worst_regression(0).expect("something grew");
-        assert_eq!(worst.path, "application;app_access;verb");
-        assert_eq!(worst.delta_ns, 1_200);
-        assert!(worst.ratio > 4.9);
-        let rendered = diff.render(3);
-        assert!(rendered.contains("application;app_access;verb"));
-        // Identical profiles have no regression.
-        assert!(ProfileDiff::between(&base, &base).worst_regression(0).is_none());
-    }
-
-    #[test]
     fn queue_stats_fold_links_and_nodes() {
         let mut series = SeriesData::new(1_000);
         let mut w = SeriesWindow::empty(0);
@@ -855,26 +657,5 @@ mod tests {
         assert_eq!(node.peak_backlog_bytes, 1 << 12);
         assert_eq!(node.peak_backlog_batches, 5);
         assert!(QueueStats::from_series(&SeriesData::new(1)).is_empty());
-    }
-
-    #[test]
-    fn host_scopes_record_when_enabled() {
-        host_profile_start();
-        {
-            let _a = host_scope("unit_test_scope");
-            let _b = host_scope("unit_test_scope");
-        }
-        let rows = host_profile_stop();
-        let row = rows
-            .iter()
-            .find(|r| r.name == "unit_test_scope")
-            .expect("recorded");
-        assert_eq!(row.calls, 2);
-        assert!(row.max_ns <= row.total_ns);
-        // Disabled scopes are inert.
-        {
-            let _c = host_scope("unit_test_scope");
-        }
-        assert!(host_profile_stop().is_empty());
     }
 }

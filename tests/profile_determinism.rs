@@ -1,15 +1,14 @@
 //! Cross-crate integration tests for the deterministic profiling layer:
 //! byte-identity of folded profiles across worker counts and replays,
 //! exact conservation of simulated time (per-path self sums equal
-//! per-track totals), regression blame via `ProfileDiff`, and the
-//! queueing/occupancy fold (`QueueStats`).
+//! per-track totals), a fabric slowdown landing on the `;verb` leaves,
+//! and the queueing/occupancy fold (`QueueStats`).
 
+use kona::{ClusterConfig, KonaRuntime, RemoteMemoryRuntime};
 use kona_bench::profile_scenario;
 use kona_cluster::MemoryNodeRuntime;
-use kona_telemetry::{
-    host_profile_start, host_profile_stop, host_scope, Profile, ProfileDiff, QueueStats,
-    Telemetry,
-};
+use kona_net::FaultPlan;
+use kona_telemetry::{Profile, QueueStats, Telemetry};
 use kona_types::{Nanos, Shards};
 
 /// Span-ring capacity for the scenario runs — large enough that the
@@ -19,8 +18,8 @@ const CAPACITY: usize = 1 << 16;
 
 const SEED: u64 = 42;
 
-fn scenario(shards: Shards, slow_wire: Nanos) -> (String, String, String) {
-    let report = profile_scenario(SEED, true, shards, CAPACITY, slow_wire);
+fn scenario(shards: Shards) -> (String, String, String) {
+    let report = profile_scenario(SEED, true, shards, CAPACITY);
     let profile = report.profile.as_ref().expect("tracing enabled");
     let series = report.series.as_ref().expect("windows enabled");
     let queues = QueueStats::from_series(series);
@@ -36,15 +35,15 @@ fn scenario(shards: Shards, slow_wire: Nanos) -> (String, String, String) {
 
 #[test]
 fn profiles_are_byte_identical_across_shard_counts_and_replay() {
-    let serial = scenario(Shards::serial(), Nanos::ZERO);
+    let serial = scenario(Shards::serial());
     for workers in [1usize, 2, 8] {
-        let wide = scenario(Shards::new(workers), Nanos::ZERO);
+        let wide = scenario(Shards::new(workers));
         assert_eq!(serial.0, wide.0, "profile JSON diverged at {workers} workers");
         assert_eq!(serial.1, wide.1, "collapsed stacks diverged at {workers} workers");
         assert_eq!(serial.2, wide.2, "queue fold diverged at {workers} workers");
     }
     // Replay: the same configuration reproduces the same bytes.
-    let again = scenario(Shards::serial(), Nanos::ZERO);
+    let again = scenario(Shards::serial());
     assert_eq!(serial, again, "replay diverged");
 }
 
@@ -54,7 +53,7 @@ fn self_times_sum_exactly_to_track_totals() {
     // same-charge children are sequential on the charge clock, so
     // parent duration covers them and self = duration − Σ(children).
     for seed in [7u64, 42, 1234] {
-        let report = profile_scenario(seed, true, Shards::new(2), CAPACITY, Nanos::ZERO);
+        let report = profile_scenario(seed, true, Shards::new(2), CAPACITY);
         let profile = report.profile.as_ref().expect("tracing enabled");
         assert_eq!(
             profile.conservation_violations(),
@@ -73,7 +72,7 @@ fn self_times_sum_exactly_to_track_totals() {
 
 #[test]
 fn profile_json_round_trips() {
-    let report = profile_scenario(SEED, true, Shards::serial(), CAPACITY, Nanos::ZERO);
+    let report = profile_scenario(SEED, true, Shards::serial(), CAPACITY);
     let profile = report.profile.as_ref().expect("tracing enabled");
     let json = profile.to_json();
     let parsed = Profile::from_json(&json).expect("own JSON parses");
@@ -81,39 +80,58 @@ fn profile_json_round_trips() {
     assert_eq!(parsed.to_collapsed(), profile.to_collapsed());
 }
 
+/// Self nanoseconds folded onto the `;verb` leaves, and onto every other
+/// path, by a small traced runtime whose fabric follows `plan`.
+fn verb_and_other_self_ns(plan: FaultPlan) -> (u64, u64) {
+    const PAGES: u64 = 32;
+    let mut cfg = ClusterConfig::small().with_local_cache_pages(8);
+    cfg.fault_plan = Some(plan);
+    let tel = Telemetry::with_tracing(CAPACITY);
+    let mut rt = KonaRuntime::with_telemetry(cfg, tel.clone()).expect("valid config");
+    let base = rt.allocate(PAGES * 4096).expect("allocate");
+    for i in 0..400u64 {
+        let addr = base + (i * 7 % PAGES) * 4096 + (i % 64) * 64;
+        rt.write_bytes(addr, &[i as u8; 64]).expect("write");
+    }
+    rt.sync().expect("sync");
+    assert_eq!(tel.dropped_events(), 0);
+    let profile = Profile::from_spans(&tel.events());
+    let (mut verb, mut other) = (0, 0);
+    for (path, stats) in profile.entries() {
+        if path.ends_with(";verb") {
+            verb += stats.self_ns;
+        } else {
+            other += stats.self_ns;
+        }
+    }
+    (verb, other)
+}
+
 #[test]
 fn diff_blames_the_congested_wire_path() {
-    // A fabric spike is the deliberate slowdown: wire time grows, so
-    // blame must land on a `;verb` leaf, and the rendered diff must be
-    // deterministic across renders.
-    let base = profile_scenario(SEED, true, Shards::serial(), CAPACITY, Nanos::ZERO);
-    let slow = profile_scenario(
-        SEED,
-        true,
-        Shards::serial(),
-        CAPACITY,
-        Nanos::from_ns(3_000),
-    );
-    let base_p = base.profile.as_ref().expect("profile");
-    let slow_p = slow.profile.as_ref().expect("profile");
-    let diff = ProfileDiff::between(base_p, slow_p);
-    let worst = diff.worst_regression(10_000).expect("the spike must show");
+    // A whole-run fabric congestion window is the deliberate slowdown:
+    // wire time grows, so the folded profile must show it on the `;verb`
+    // leaves, not smeared over their parents.
+    let congested =
+        FaultPlan::calm(SEED).with_spike(Nanos::ZERO, Nanos::secs(3_600), Nanos::from_ns(3_000));
+    let (base_verb, base_other) = verb_and_other_self_ns(FaultPlan::calm(SEED));
+    let (slow_verb, slow_other) = verb_and_other_self_ns(congested);
+    assert!(base_verb > 0, "the run must post verbs");
     assert!(
-        worst.path.ends_with(";verb"),
-        "wire slowdown must blame a verb leaf, got {}",
-        worst.path
+        slow_verb > base_verb,
+        "spike must grow verb self time ({base_verb} -> {slow_verb})"
     );
-    assert!(worst.ratio > 1.0);
-    assert_eq!(diff.render(10), diff.render(10));
-    // Identical inputs never blame.
-    assert!(ProfileDiff::between(base_p, base_p).worst_regression(0).is_none());
+    assert!(
+        slow_verb - base_verb > 10 * (slow_other - base_other),
+        "the verb leaves must take the added wire time, others grew {base_other} -> {slow_other}"
+    );
 }
 
 #[test]
 fn queue_stats_fold_links_from_the_scenario_and_nodes_from_a_runtime() {
     // Links: the shard scenario's fabric traffic must surface per-link
     // WR counts and in-flight time.
-    let report = profile_scenario(SEED, true, Shards::serial(), CAPACITY, Nanos::ZERO);
+    let report = profile_scenario(SEED, true, Shards::serial(), CAPACITY);
     let series = report.series.as_ref().expect("windows enabled");
     let queues = QueueStats::from_series(series);
     assert!(!queues.links.is_empty(), "fabric traffic must appear per link");
@@ -141,31 +159,4 @@ fn queue_stats_fold_links_from_the_scenario_and_nodes_from_a_runtime() {
     let nq = q.nodes.get(&3).expect("node 3 must have a row");
     assert_eq!(nq.peak_backlog_batches, 4, "peak depth reached before apply");
     assert!(nq.peak_backlog_bytes > 0);
-}
-
-#[test]
-fn host_scopes_accumulate_across_a_profiled_run() {
-    // Wall-clock values are nondeterministic — assert presence and call
-    // counts only, never timing.
-    host_profile_start();
-    {
-        let _outer = host_scope("itest_outer");
-        let _inner = host_scope("itest_inner");
-    }
-    let _ = profile_scenario(SEED, true, Shards::serial(), CAPACITY, Nanos::ZERO);
-    let rows = host_profile_stop();
-    let names: Vec<&str> = rows.iter().map(|r| r.name).collect();
-    assert!(names.contains(&"itest_outer"));
-    assert!(names.contains(&"itest_inner"));
-    // The scenario drives eviction and the shard merge under the hood.
-    assert!(names.contains(&"shard_merge"), "scenario must time its merge");
-    assert!(
-        rows.iter().all(|r| r.calls > 0),
-        "every reported scope was entered"
-    );
-    // Stopped: further scopes are not recorded.
-    {
-        let _late = host_scope("itest_late");
-    }
-    assert!(host_profile_stop().is_empty());
 }
