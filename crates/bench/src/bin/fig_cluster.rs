@@ -138,11 +138,8 @@ fn main() {
         "per-node apply/compaction + placement, migration, re-replication",
     );
     let seed: u64 = opts.seed();
-    let nodes: u32 = opts.value_of("nodes").and_then(|s| s.parse().ok()).unwrap_or(3);
-    let placement = opts
-        .value_of("placement")
-        .map(|s| PlacementKind::parse(s).expect("--placement: round-robin | capacity | p2c"))
-        .unwrap_or_default();
+    let nodes: u32 = opts.parsed("nodes").unwrap_or(3);
+    let placement: PlacementKind = opts.parsed("placement").unwrap_or_default();
     let ops: u64 = if opts.quick { 600 } else { 6_000 };
     println!(
         "seed: {seed}, ops per plan: {ops}, nodes: {nodes}, replicas: 2, \

@@ -20,12 +20,12 @@
 //!     --series-out health-series.json --health-out health.json
 //! ```
 
-use kona::{seeded_script, ClusterConfig, KonaRuntime, RemoteMemoryRuntime, ShardOp, ShardedRun};
+use kona::{ClusterConfig, KonaRuntime, RemoteMemoryRuntime};
 use kona_bench::{banner, f2, ExpOptions, TextTable};
 use kona_net::FaultPlan;
 use kona_telemetry::{HealthReport, Rule, SeriesData, Telemetry, DEFAULT_WINDOW_NS};
 use kona_types::rng::{Rng, StdRng};
-use kona_types::{par_map, Nanos, ShardPlan};
+use kona_types::par_map;
 use std::process::ExitCode;
 
 /// Pages in the remote working set (the local cache holds 8).
@@ -157,35 +157,6 @@ fn run_plan(plan: FaultPlan, seed: u64, ops: u64, window_ns: u64) -> Outcome {
     }
 }
 
-/// Replays a sharded run's windowed `shard.<i>.ops` deltas through a
-/// monitor evaluating the example imbalance rule: the cumulative
-/// busiest-to-laziest ops ratio above 2x flags shard skew.
-fn skew_monitor(series: &SeriesData, logical: u32, window_ns: u64) -> (f64, HealthReport) {
-    let tel = Telemetry::disabled();
-    tel.enable_timeseries(window_ns);
-    tel.install_monitor(vec![Rule::above("mon.shard_skew", "shard.skew", 2.0)]);
-    let skew_gauge = tel.gauge("shard.skew");
-    let mut cumulative = vec![0u64; logical as usize];
-    let mut skew = 1.0;
-    // Build the per-shard counter names once — not per window.
-    let names: Vec<String> = (0..logical).map(|i| format!("shard.{i}.ops")).collect();
-    for w in &series.windows {
-        for (i, total) in cumulative.iter_mut().enumerate() {
-            if let Some(delta) = w.counters.get(&names[i]) {
-                *total += delta;
-            }
-        }
-        let max = cumulative.iter().copied().max().unwrap_or(0);
-        let min = cumulative.iter().copied().min().unwrap_or(0);
-        if max > 0 {
-            skew = max as f64 / min.max(1) as f64;
-        }
-        skew_gauge.set(skew);
-        tel.observe_time(Nanos::from_ns((w.index + 1).saturating_mul(window_ns)));
-    }
-    (skew, tel.health_report().expect("monitor installed"))
-}
-
 fn main() -> ExitCode {
     let opts = ExpOptions::from_env();
     banner(
@@ -270,73 +241,7 @@ fn main() -> ExitCode {
          spikes fire obs.fetch_p99 and it resolves when the spike passes."
     );
 
-    // Shard-parallel engine weather: the merged `shard.<i>.ops` counters
-    // from a sharded run feed the example imbalance rule. Round-robin
-    // striping keeps the balanced script under the 2x limit; a hotspot
-    // script that lands every access on one stripe trips it.
-    let plan = ShardPlan::default();
-    let logical = plan.logical();
-    let shard_pages: u64 = 64;
-    let shard_cfg = {
-        let mut cfg = ClusterConfig::small().with_replicas(2);
-        cfg.memory_nodes = 3;
-        cfg.local_cache_pages = 64;
-        cfg.cpu_cache_lines = 512;
-        cfg
-    };
-    let mut shard_run = ShardedRun::new(shard_cfg, shard_pages)
-        .with_plan(plan)
-        .with_windows(window_ns);
-    if opts.profiling() {
-        shard_run = shard_run.with_tracing(opts.trace_capacity());
-    }
-    let balanced_script = seeded_script(shard_pages, ops as usize, seed);
-    let hotspot_script: Vec<ShardOp> = (0..ops)
-        .map(|i| ShardOp::Write {
-            page: (i * u64::from(logical)) % shard_pages,
-            line: (i % 64) as u32,
-            len: 64,
-            fill: (i % 251) as u8,
-        })
-        .chain(std::iter::once(ShardOp::Sync))
-        .collect();
-    let balanced = shard_run
-        .execute(&balanced_script, opts.shards())
-        .expect("balanced shard run");
-    let hotspot = shard_run
-        .execute(&hotspot_script, opts.shards())
-        .expect("hotspot shard run");
-    let balanced_series = balanced.series.as_ref().expect("windows enabled");
-    let hotspot_series = hotspot.series.as_ref().expect("windows enabled");
-    let (balanced_skew, balanced_health) = skew_monitor(balanced_series, logical, window_ns);
-    let (hotspot_skew, hotspot_health) = skew_monitor(hotspot_series, logical, window_ns);
-    let fired = |h: &HealthReport| h.alerts_fired();
-    println!(
-        "\nshard skew (mon.shard_skew: cumulative busiest/laziest ops above 2x):"
-    );
-    println!(
-        "  balanced striping ({logical} shards): final skew {} — rule fired {} time(s)",
-        f2(balanced_skew),
-        fired(&balanced_health)
-    );
-    println!(
-        "  hotspot stripe (all ops on shard 0): final skew {} — rule fired {} time(s)",
-        f2(hotspot_skew),
-        fired(&hotspot_health)
-    );
-    if fired(&balanced_health) > 0 || fired(&hotspot_health) == 0 {
-        eprintln!(
-            "shard-skew gate FAILED: balanced fired {} (want 0), hotspot fired {} (want >0)",
-            fired(&balanced_health),
-            fired(&hotspot_health)
-        );
-        breaches += 1;
-    }
-
     let tel = opts.telemetry();
-    // The sharded runs' merged counters (shard.<i>.ops included) ride
-    // along in --metrics-out.
-    tel.absorb(&balanced.dump);
     let merged = {
         let mut all = SeriesData::new(window_ns);
         for r in &results {
@@ -355,23 +260,6 @@ fn main() -> ExitCode {
         println!("\nhealth report written to {path}");
     }
     opts.write_outputs_with_series(&tel, Some(&merged));
-    if opts.profiling() {
-        // Both sharded runs fold profiles (tracing enabled above); the
-        // balanced/hotspot prefixes keep their paths distinct.
-        let mut profile = balanced
-            .profile
-            .as_ref()
-            .expect("tracing enabled when profiling")
-            .prefixed("balanced");
-        profile.merge(
-            &hotspot
-                .profile
-                .as_ref()
-                .expect("tracing enabled when profiling")
-                .prefixed("hotspot"),
-        );
-        opts.write_profile(&profile);
-    }
 
     if breaches > 0 {
         eprintln!("\nhealth gate FAILED: SLO breached under {breaches} plan(s)");

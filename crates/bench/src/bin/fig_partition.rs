@@ -232,14 +232,8 @@ fn main() -> ExitCode {
     );
     let seed: u64 = opts.seed();
     let ops: u64 = if opts.quick { 1_500 } else { 6_000 };
-    let lease_ns: u64 = opts
-        .value_of("lease-ns")
-        .map(|s| s.parse().expect("--lease-ns takes an integer"))
-        .unwrap_or(200_000);
-    let scrub_interval: u64 = opts
-        .value_of("scrub-interval")
-        .map(|s| s.parse().expect("--scrub-interval takes an integer"))
-        .unwrap_or(4);
+    let lease_ns: u64 = opts.parsed("lease-ns").unwrap_or(200_000);
+    let scrub_interval: u64 = opts.parsed("scrub-interval").unwrap_or(4);
     let no_fencing = opts.args.iter().any(|a| a == "--no-fencing");
     let window_ns = opts.window_ns().unwrap_or(DEFAULT_WINDOW_NS);
     println!(

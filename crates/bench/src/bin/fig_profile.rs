@@ -7,23 +7,20 @@
 //!    call-path tree (self/total simulated ns per `track;frame;...`
 //!    path). Workloads fan out over `--jobs` workers and fold in
 //!    workload order, so output is byte-identical at every job count.
-//! 2. **The canonical shard scenario** — the fig_shard shrunken-cache
-//!    cluster through the shard-parallel engine, per-shard profiles
-//!    merged by path key in shard order (byte-identical at every
-//!    `--shards`), plus the queueing table: per-fabric-link in-flight
+//! 2. **The canonical shard scenario** — a shrunken-cache cluster
+//!    through the sharded engine, per-shard profiles merged by path key
+//!    in shard order, plus the queueing table: per-fabric-link in-flight
 //!    depth and per-memory-node apply backlog folded from the windowed
 //!    series. `--profile-out`/`--flame-out` export this scenario's
 //!    profile.
 //!
 //! The run self-gates: per-path self times must sum exactly to per-track
-//! root totals (conservation violations == 0), and an in-process replay
-//! re-runs the scenario serially and byte-compares the JSON, collapsed
-//! stacks and queueing table against the `--shards`-wide run. Exit is
-//! non-zero on any violation.
+//! root totals (conservation violations == 0). Exit is non-zero on any
+//! violation.
 //!
 //! ```bash
 //! cargo run --release --bin fig_profile -- --quick
-//! cargo run --release --bin fig_profile -- --quick --shards 8 --jobs 4 \
+//! cargo run --release --bin fig_profile -- --quick --jobs 4 \
 //!     --profile-out profile.json --flame-out profile.folded
 //! ```
 
@@ -35,7 +32,7 @@ use kona_cluster::{ClusterRuntime, ControlPlaneConfig};
 use kona_net::FaultPlan;
 use kona_telemetry::{Profile, QueueStats, Telemetry, DEFAULT_WINDOW_NS};
 use kona_types::rng::{Rng, StdRng};
-use kona_types::{align_up, par_map, ByteSize, Shards, PAGE_SIZE_4K};
+use kona_types::{align_up, par_map, ByteSize, PAGE_SIZE_4K};
 use kona_workloads::WorkloadProfile;
 use std::process::ExitCode;
 
@@ -84,7 +81,7 @@ fn run_workload(idx: usize, name: &str, quick: bool, capacity: usize) -> Workloa
 /// compaction) shows up as Cluster-track spans in the profile, and the
 /// per-memory-node `backlog_bytes`/`backlog_batches` gauges populate the
 /// node half of the queueing table. Single-threaded and seeded, so the
-/// output is identical at any `--jobs`/`--shards` value.
+/// output is identical at any `--jobs` value.
 fn run_cluster_segment(seed: u64, quick: bool, capacity: usize) -> (Profile, QueueStats, u64) {
     const PAGES: u64 = 64;
     let ops = if quick { 600 } else { 6_000 };
@@ -191,10 +188,7 @@ fn main() -> ExitCode {
     let seed = opts.seed();
     let quick = opts.quick;
     let capacity = opts.trace_capacity();
-    let top = opts
-        .value_of("top")
-        .map(|s| s.parse().expect("--top takes an integer"))
-        .unwrap_or(TOP_K);
+    let top = opts.parsed("top").unwrap_or(TOP_K);
     println!("seed: {seed}, trace ring: {capacity}, top: {top}");
 
     let mut violations = 0u64;
@@ -222,7 +216,7 @@ fn main() -> ExitCode {
 
     // Part 2: the canonical shard scenario — per-shard folds merged by
     // path key, plus the queueing table from the merged windowed series.
-    let report = profile_scenario(seed, quick, opts.shards(), capacity);
+    let report = profile_scenario(seed, quick, capacity);
     let profile = report.profile.clone().expect("tracing was on");
     println!("\n--- shard scenario (logical {}, calm plan) ---", report.plan.logical());
     print_top_paths(&profile, top);
@@ -244,36 +238,13 @@ fn main() -> ExitCode {
     println!();
     print!("{}", render_queue_tables(&cluster_queues));
 
-    // In-process determinism witness: a serial re-run must reproduce the
-    // profile and queueing table byte-for-byte.
-    let replay = profile_scenario(seed, quick, Shards::serial(), capacity);
-    let replay_profile = replay.profile.expect("tracing was on");
-    let replay_queues =
-        QueueStats::from_series(replay.series.as_ref().expect("windows were on"));
-    let mut replay_failures = 0u64;
-    if replay_profile.to_json() != profile.to_json()
-        || replay_profile.to_collapsed() != profile.to_collapsed()
-    {
-        eprintln!("fig_profile: serial replay diverged from the wide profile");
-        replay_failures += 1;
-    }
-    if render_queue_tables(&replay_queues) != render_queue_tables(&queues) {
-        eprintln!("fig_profile: serial replay diverged in the queueing table");
-        replay_failures += 1;
-    }
-    if replay_failures == 0 {
-        // No worker count here: stdout stays byte-identical across
-        // --shards/--jobs values for the CI transcript compare.
-        println!("\nreplay check: serial profile == wide profile (byte-identical)");
-    }
-
     println!(
         "\nconservation: {violations} violations (per-path self times vs per-track totals)"
     );
     opts.write_profile(&profile);
 
-    if violations > 0 || replay_failures > 0 {
-        eprintln!("FAIL: {violations} conservation violations, {replay_failures} replay divergences");
+    if violations > 0 {
+        eprintln!("FAIL: {violations} conservation violations");
         return ExitCode::FAILURE;
     }
     if dropped > 0 {

@@ -19,9 +19,9 @@
 //!   health rule fires when SLO protection engages.
 //!
 //! Everything is seeded and driven in simulated time; output is
-//! byte-identical at any `--jobs` / `--shards` (shards only change the
-//! worker count of the replay determinism check, whose merged output is
-//! order-stable). Exits non-zero when a gate fails.
+//! byte-identical at any `--jobs` (which also sets the worker count of
+//! the replay determinism check, whose merged output is order-stable).
+//! Exits non-zero when a gate fails.
 //!
 //! ```bash
 //! cargo run --release --bin fig_tenants -- --quick
@@ -35,7 +35,7 @@ use kona_cluster::ControlPlaneConfig;
 use kona_serve::{Admission, ServeConfig, ServeReport, ServeRuntime, TenantConfig};
 use kona_telemetry::{Profile, Rule, Telemetry, DEFAULT_WINDOW_NS};
 use kona_types::rng::{Rng, StdRng};
-use kona_types::{derive_shard_seed, par_map, Jobs, KonaError, Nanos, VirtAddr};
+use kona_types::{derive_shard_seed, par_map, KonaError, Nanos, VirtAddr};
 use std::process::ExitCode;
 
 /// Pages per slab (4 KiB pages, 1 MiB slabs in `ClusterConfig::small`).
@@ -551,12 +551,10 @@ fn main() -> ExitCode {
         eprintln!("GATE FAILED [sweep]: largest row has {max_row} tenants, need ≥ 8");
     }
 
-    // ---- Replay determinism (uses --shards as its worker count) -----------
-    let replay = par_map(
-        Jobs::new(opts.shards().get()),
-        vec![max_row; REPLAY_RUNS],
-        move |_, n| run_scale(n, knobs).fingerprint,
-    );
+    // ---- Replay determinism (uses --jobs as its worker count) -------------
+    let replay = par_map(opts.jobs, vec![max_row; REPLAY_RUNS], move |_, n| {
+        run_scale(n, knobs).fingerprint
+    });
     let sweep_fp = results
         .iter()
         .find(|r| r.tenants == max_row && r.label.starts_with("scale"))

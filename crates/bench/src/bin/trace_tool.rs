@@ -17,7 +17,9 @@
 //! ```
 
 use kona::{ClusterConfig, KonaRuntime, RemoteMemoryRuntime};
-use kona_bench::{f2, workload_by_name, TextTable, TRACE_RING_CAPACITY, WORKLOAD_NAMES};
+use kona_bench::{
+    f2, workload_by_name, ExpOptions, TextTable, TRACE_RING_CAPACITY, WORKLOAD_NAMES,
+};
 use kona_telemetry::{Component, Telemetry};
 use kona_trace::amplification::AmplificationAnalysis;
 use kona_trace::contiguity::ContiguityAnalysis;
@@ -49,26 +51,17 @@ fn usage() -> ExitCode {
     ExitCode::FAILURE
 }
 
-/// The value following `--<key>` in `args`, if present.
-fn flag_value<'a>(args: &'a [String], key: &str) -> Option<&'a str> {
-    let flag = format!("--{key}");
-    args.iter()
-        .position(|a| a == &flag)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-}
-
 /// Replays `workload` with causal tracing and prints the critical-path
 /// attribution: per-op component tables, the top-k slowest traces, and
 /// where requested the JSON/CSV artifacts. Exits non-zero on exact-sum
 /// violations or dropped spans.
-fn run_analyze_causal(workload: &str, args: &[String]) -> ExitCode {
+fn run_analyze_causal(workload: &str, opts: &ExpOptions) -> ExitCode {
     let Some(wl) = tool_workload(workload) else {
         eprintln!("unknown workload {workload}");
         return usage();
     };
-    let seed = flag_value(args, "seed").and_then(|s| s.parse().ok()).unwrap_or(42);
-    let top_k: usize = flag_value(args, "top").and_then(|s| s.parse().ok()).unwrap_or(5);
+    let seed = opts.seed();
+    let top_k: usize = opts.parsed("top").unwrap_or(5);
     let trace = wl.generate(seed);
     let span = align_up(trace.address_span() + PAGE_SIZE_4K, PAGE_SIZE_4K);
     let pages = span / PAGE_SIZE_4K;
@@ -136,11 +129,11 @@ fn run_analyze_causal(workload: &str, args: &[String]) -> ExitCode {
     if dropped > 0 {
         println!("\nwarning: trace ring wrapped, {dropped} spans dropped (tel.spans_dropped)");
     }
-    if let Some(path) = flag_value(args, "attrib-out") {
+    if let Some(path) = opts.value_of("attrib-out") {
         std::fs::write(path, engine.to_json()).expect("write attribution json");
         println!("attribution json written to {path}");
     }
-    if let Some(path) = flag_value(args, "attrib-csv") {
+    if let Some(path) = opts.value_of("attrib-csv") {
         std::fs::write(path, engine.to_csv()).expect("write attribution csv");
         println!("attribution csv written to {path}");
     }
@@ -207,7 +200,9 @@ fn main() -> ExitCode {
                 eprintln!("unknown workload {}", args[1]);
                 return usage();
             };
-            let seed = args.get(3).and_then(|s| s.parse().ok()).unwrap_or(42);
+            let seed = args
+                .get(3)
+                .map_or(42, |s| ExpOptions::parse_arg("[seed]", s));
             let trace = wl.generate(seed);
             let file = match File::create(&args[2]) {
                 Ok(f) => f,
@@ -233,7 +228,7 @@ fn main() -> ExitCode {
             // A workload name runs the causal attribution analysis; a path
             // keeps the legacy binary-trace (.ktrc) analyses.
             if WORKLOAD_NAMES.contains(&args[1].as_str()) {
-                return run_analyze_causal(&args[1], &args[2..]);
+                return run_analyze_causal(&args[1], &ExpOptions::from_args(args[2..].to_vec()));
             }
             let file = match File::open(&args[1]) {
                 Ok(f) => f,
@@ -284,7 +279,9 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         Some("telemetry") if args.len() >= 3 => {
-            let seed = args.get(3).and_then(|s| s.parse().ok()).unwrap_or(42);
+            let seed = args
+                .get(3)
+                .map_or(42, |s| ExpOptions::parse_arg("[seed]", s));
             run_telemetry(&args[1], &args[2], seed)
         }
         _ => usage(),

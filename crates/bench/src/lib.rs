@@ -11,11 +11,13 @@
 use kona::{seeded_script, ClusterConfig, FailurePolicy, ShardReport, ShardedRun};
 use kona_net::FaultPlan;
 use kona_telemetry::{Profile, SeriesData, Telemetry, DEFAULT_WINDOW_NS};
-use kona_types::{Jobs, Nanos, ShardPlan, Shards};
+use kona_types::{Jobs, Nanos, ShardPlan};
 use kona_workloads::{
     GraphAlgorithm, GraphWorkload, HistogramWorkload, LinearRegressionWorkload, RedisWorkload,
     VoltDbWorkload, Workload, WorkloadProfile,
 };
+use std::fmt::Display;
+use std::str::FromStr;
 
 pub mod micro;
 pub use micro::ContentionModel;
@@ -78,7 +80,11 @@ pub struct ExpOptions {
 impl ExpOptions {
     /// Parses `std::env::args`.
     pub fn from_env() -> Self {
-        let args: Vec<String> = std::env::args().skip(1).collect();
+        Self::from_args(std::env::args().skip(1).collect())
+    }
+
+    /// Parses pre-split arguments (the program name excluded).
+    pub fn from_args(args: Vec<String>) -> Self {
         ExpOptions {
             quick: args.iter().any(|a| a == "--quick"),
             jobs: Jobs::from_args(&args),
@@ -91,10 +97,35 @@ impl ExpOptions {
     /// is a usage error (stderr, exit code 2), never a file named after
     /// the next flag.
     pub fn value_of(&self, key: &str) -> Option<&str> {
-        self.try_value_of(key).unwrap_or_else(|msg| {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        })
+        self.try_value_of(key).unwrap_or_else(|msg| usage_error(&msg))
+    }
+
+    /// The value following `--<key>` parsed as a `T`, if the flag is
+    /// present. A missing or malformed value is a usage error (stderr,
+    /// exit code 2), never a silent default.
+    pub fn parsed<T: FromStr>(&self, key: &str) -> Option<T>
+    where
+        T::Err: Display,
+    {
+        self.try_parsed(key).unwrap_or_else(|msg| usage_error(&msg))
+    }
+
+    /// `raw` parsed as a `T`, for positional arguments. A malformed value
+    /// is a usage error naming `what` (stderr, exit code 2).
+    pub fn parse_arg<T: FromStr>(what: &str, raw: &str) -> T
+    where
+        T::Err: Display,
+    {
+        parse_value(what, raw).unwrap_or_else(|msg| usage_error(&msg))
+    }
+
+    fn try_parsed<T: FromStr>(&self, key: &str) -> Result<Option<T>, String>
+    where
+        T::Err: Display,
+    {
+        self.try_value_of(key)?
+            .map(|raw| parse_value(&format!("--{key}"), raw))
+            .transpose()
     }
 
     fn try_value_of(&self, key: &str) -> Result<Option<&str>, String> {
@@ -138,7 +169,7 @@ impl ExpOptions {
     }
 
     /// `--profile-out <path>`: folded simulated-time profile JSON
-    /// destination (the format [`Profile::from_json`] reads).
+    /// destination ([`Profile::to_json`]).
     pub fn profile_out(&self) -> Option<&str> {
         self.value_of("profile-out")
     }
@@ -156,34 +187,21 @@ impl ExpOptions {
         self.profile_out().is_some() || self.flame_out().is_some()
     }
 
-    /// `--shards N`: worker threads for the shard-parallel engine
-    /// (default 1 — sharded execution stays opt-in and `--shards 1`
-    /// reproduces the serial merge byte-for-byte).
-    pub fn shards(&self) -> Shards {
-        Shards::from_args(&self.args)
-    }
-
     /// `--seed N`: base RNG seed for the experiment (default 42).
     pub fn seed(&self) -> u64 {
-        self.value_of("seed")
-            .map(|s| s.parse().expect("--seed takes an integer"))
-            .unwrap_or(42)
+        self.parsed("seed").unwrap_or(42)
     }
 
     /// `--tenants N`: tenant count for multi-tenant serving experiments
     /// (default 8, the ROADMAP experiment's floor).
     pub fn tenants(&self) -> u32 {
-        self.value_of("tenants")
-            .map(|s| s.parse().expect("--tenants takes an integer"))
-            .unwrap_or(8)
+        self.parsed("tenants").unwrap_or(8)
     }
 
     /// `--tenant-quota N`: per-tenant remote-memory quota in slabs
     /// (default 2).
     pub fn tenant_quota(&self) -> u64 {
-        self.value_of("tenant-quota")
-            .map(|s| s.parse().expect("--tenant-quota takes an integer"))
-            .unwrap_or(2)
+        self.parsed("tenant-quota").unwrap_or(2)
     }
 
     /// `--no-balloon`: skips the live balloon grow/shrink demo inside
@@ -196,16 +214,13 @@ impl ExpOptions {
     /// (default [`TRACE_RING_CAPACITY`]). Spans beyond the capacity drop
     /// oldest-first and are counted in `tel.spans_dropped`.
     pub fn trace_capacity(&self) -> usize {
-        self.value_of("trace-capacity")
-            .map(|s| s.parse().expect("--trace-capacity takes an integer"))
-            .unwrap_or(TRACE_RING_CAPACITY)
+        self.parsed("trace-capacity").unwrap_or(TRACE_RING_CAPACITY)
     }
 
     /// `--window-ns N`: explicit time-series window width in simulated
     /// nanoseconds.
     pub fn window_ns(&self) -> Option<u64> {
-        self.value_of("window-ns")
-            .map(|s| s.parse().expect("--window-ns takes an integer"))
+        self.parsed("window-ns")
     }
 
     /// The window width to collect time series at, if any output wants
@@ -252,8 +267,8 @@ impl ExpOptions {
 
     /// Writes the folded profile to `--profile-out` (line-oriented JSON)
     /// and/or `--flame-out` (collapsed stacks). Both artifacts are
-    /// deterministic: byte-identical across `--jobs` and `--shards`
-    /// values for the same experiment.
+    /// deterministic: byte-identical across `--jobs` values for the same
+    /// experiment.
     pub fn write_profile(&self, profile: &Profile) {
         if let Some(path) = self.profile_out() {
             std::fs::write(path, profile.to_json()).expect("write profile");
@@ -317,26 +332,20 @@ pub const PROFILE_SCENARIO_PAGES: u64 = 256;
 /// Logical shards in the canonical profiling scenario.
 pub const PROFILE_SCENARIO_LOGICAL: u32 = 8;
 
-/// Runs the canonical profiling scenario: the fig_shard shrunken-cache
+/// Runs the canonical profiling scenario: a shrunken-cache sharded
 /// cluster (3 memory nodes, replication 2, caches smaller than the page
 /// stripe so eviction/writeback paths stay hot) over a seeded mixed
 /// read/write script, with span tracing and windowed series on.
 ///
-/// The logical decomposition is fixed at [`PROFILE_SCENARIO_LOGICAL`], so
-/// the merged report — profile included — is byte-identical at any
-/// `shards` worker count. `fig_profile` and the determinism tests fold
-/// profiles from this one scenario.
+/// The logical decomposition is fixed at [`PROFILE_SCENARIO_LOGICAL`]
+/// shards, which run serially and merge in shard order. `fig_profile`
+/// and the determinism tests fold profiles from this one scenario.
 ///
 /// # Panics
 ///
 /// Panics if the sharded run fails — the calm plan injects no faults, so
 /// any error is a simulator bug.
-pub fn profile_scenario(
-    seed: u64,
-    quick: bool,
-    shards: Shards,
-    trace_capacity: usize,
-) -> ShardReport {
+pub fn profile_scenario(seed: u64, quick: bool, trace_capacity: usize) -> ShardReport {
     let ops = if quick { 2_000 } else { 12_000 };
     let script = seeded_script(PROFILE_SCENARIO_PAGES, ops, seed);
     let mut cfg = ClusterConfig::small().with_replicas(2);
@@ -349,8 +358,22 @@ pub fn profile_scenario(
         .with_windows(DEFAULT_WINDOW_NS)
         .with_tracing(trace_capacity)
         .with_failure_policy(FailurePolicy::PageFaultFallback)
-        .execute(&script, shards)
+        .execute(&script, Jobs::serial())
         .expect("profile scenario completes")
+}
+
+/// `raw` parsed as a `T`, or the usage line naming `what`.
+fn parse_value<T: FromStr>(what: &str, raw: &str) -> Result<T, String>
+where
+    T::Err: Display,
+{
+    raw.parse().map_err(|e| format!("usage: {what} {raw}: {e}"))
+}
+
+/// Prints a usage line on stderr and exits 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2);
 }
 
 /// A fixed-width text table, printed in the paper's row/column structure.
@@ -480,6 +503,24 @@ mod tests {
             opts.try_value_of("seed"),
             Err("usage: --seed takes a value".into())
         );
+        assert!(opts.try_parsed::<u64>("seed").is_err());
+
+        // Malformed values are usage errors, not silent defaults.
+        let opts = ExpOptions::from_args(
+            ["--seed", "x", "--nodes", "four", "--top", "5", "--placement", "zeal"]
+                .map(String::from)
+                .to_vec(),
+        );
+        assert_eq!(
+            opts.try_parsed::<u64>("seed"),
+            Err("usage: --seed x: invalid digit found in string".into())
+        );
+        assert!(opts.try_parsed::<u32>("nodes").is_err());
+        assert!(opts.try_parsed::<kona::PlacementKind>("placement").is_err());
+        assert_eq!(opts.try_parsed::<usize>("top"), Ok(Some(5)));
+        assert_eq!(opts.try_parsed::<usize>("missing"), Ok(None));
+        assert_eq!(parse_value::<u64>("[seed]", "7"), Ok(7));
+        assert!(parse_value::<u64>("[seed]", "-1").is_err());
     }
 
     #[test]

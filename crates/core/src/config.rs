@@ -32,6 +32,10 @@ impl PlacementKind {
             PlacementKind::PowerOfTwoChoices => Box::new(PowerOfTwoChoices::new(seed)),
         }
     }
+}
+
+impl std::str::FromStr for PlacementKind {
+    type Err = KonaError;
 
     /// Parses the experiment-flag spelling (`round-robin`, `capacity`,
     /// `p2c`).
@@ -39,7 +43,7 @@ impl PlacementKind {
     /// # Errors
     ///
     /// Returns [`KonaError::InvalidConfig`] for unknown names.
-    pub fn parse(s: &str) -> Result<Self> {
+    fn from_str(s: &str) -> Result<Self> {
         match s {
             "round-robin" | "rr" => Ok(PlacementKind::RoundRobin),
             "capacity" => Ok(PlacementKind::CapacityWeighted),
@@ -581,19 +585,10 @@ mod tests {
 
     #[test]
     fn placement_kind_parses_and_builds() {
-        assert_eq!(
-            PlacementKind::parse("round-robin").unwrap(),
-            PlacementKind::RoundRobin
-        );
-        assert_eq!(
-            PlacementKind::parse("capacity").unwrap(),
-            PlacementKind::CapacityWeighted
-        );
-        assert_eq!(
-            PlacementKind::parse("p2c").unwrap(),
-            PlacementKind::PowerOfTwoChoices
-        );
-        assert!(PlacementKind::parse("zeal").is_err());
+        assert_eq!("round-robin".parse(), Ok(PlacementKind::RoundRobin));
+        assert_eq!("capacity".parse(), Ok(PlacementKind::CapacityWeighted));
+        assert_eq!("p2c".parse(), Ok(PlacementKind::PowerOfTwoChoices));
+        assert!("zeal".parse::<PlacementKind>().is_err());
         for kind in [
             PlacementKind::RoundRobin,
             PlacementKind::CapacityWeighted,

@@ -1,22 +1,14 @@
-//! The shard-parallel simulation engine.
+//! The sharded simulation model.
 //!
-//! One Kona simulation is a long serial chain: every access walks the
-//! CPU caches, the coherence directory, the FPGA's FMem and translation
-//! state and (on a miss) the fabric — all single-threaded. PR 2's
-//! [`par_map`](kona_types::par_map) only parallelizes *across* runs, so a
-//! single big experiment point still takes a single core.
-//!
-//! This module splits one run. A [`ShardPlan`] stripes the page space
-//! into a fixed number of **logical shards** (page `p` → shard
-//! `p % logical`); each logical shard owns a complete vertical slice of
-//! the runtime — its own eviction handler and shipment journal, its own
-//! coherence directory and FMem partition, its own fabric, fault-injector
-//! and RNG streams (seeded by
+//! A [`ShardPlan`] stripes one run's page space into a fixed number of
+//! **logical shards** (page `p` → shard `p % logical`); each logical
+//! shard owns a complete vertical slice of the runtime — its own eviction
+//! handler and shipment journal, its own coherence directory and FMem
+//! partition, its own fabric, fault-injector and RNG streams (seeded by
 //! [`derive_shard_seed`](kona_types::derive_shard_seed)), its own
 //! telemetry registry and trace-span ring. Shards share nothing, so
-//! [`ShardedRun::execute`] can run them on `--shards N` worker threads
-//! and merge results **in shard order**, making the combined output
-//! byte-identical at every worker count:
+//! [`ShardedRun::execute`] merges their results **in shard order**,
+//! making the combined output byte-identical at any worker count:
 //!
 //! * counters and stats merge by field ([`RuntimeStats::merge`] and
 //!   friends);
@@ -28,20 +20,22 @@
 //!   ([`sequence_streams`](kona_types::sequence_streams)).
 //!
 //! The logical shard count is part of the *model* (it decides which pages
-//! share a directory partition), so it stays fixed while `--shards`
+//! share a directory partition), so it stays fixed while the worker count
 //! varies; [`ShardReport::fingerprint`] captures the merged history and
-//! is the byte-equality witness used by the determinism tests and CI.
+//! is the byte-equality witness used by the determinism tests. The worker
+//! count is an argument of `execute` only so the benchmark's scaling row
+//! can vary it; the experiments run the shards serially.
 //!
 //! # Examples
 //!
 //! ```
 //! use kona::{ClusterConfig, ShardedRun};
-//! use kona_types::{ShardPlan, Shards};
+//! use kona_types::{Jobs, ShardPlan};
 //!
 //! let run = ShardedRun::new(ClusterConfig::small(), 256).with_plan(ShardPlan::new(4));
 //! let script = kona::seeded_script(256, 2_000, 42);
-//! let serial = run.execute(&script, Shards::serial()).unwrap();
-//! let wide = run.execute(&script, Shards::new(4)).unwrap();
+//! let serial = run.execute(&script, Jobs::serial()).unwrap();
+//! let wide = run.execute(&script, Jobs::new(4)).unwrap();
 //! assert_eq!(serial.fingerprint(), wide.fingerprint());
 //! ```
 
@@ -59,7 +53,7 @@ use kona_telemetry::{
 };
 use kona_types::rng::{Rng, StdRng};
 use kona_types::{
-    par_map, sequence_streams, Jobs, Nanos, Result, ShardPlan, Shards, VirtAddr, CACHE_LINE_SIZE,
+    par_map, sequence_streams, Jobs, Nanos, Result, ShardPlan, VirtAddr, CACHE_LINE_SIZE,
     FxHashMap, LINES_PER_PAGE_4K, PAGE_SIZE_4K,
 };
 
@@ -187,8 +181,7 @@ pub struct ShardReport {
     pub net: NetStats,
     /// Field-wise sum of every shard's injected-fault counters.
     pub faults: FaultStats,
-    /// All shard metric registries absorbed in shard order (includes the
-    /// per-shard `shard.<i>.ops` counters).
+    /// All shard metric registries absorbed in shard order.
     pub dump: MetricsDump,
     /// Index-wise merge of the shard time-series (when windows were on).
     pub series: Option<SeriesData>,
@@ -202,7 +195,7 @@ pub struct ShardReport {
     pub profile: Option<Profile>,
     /// Shipment-journal batches sequenced by `(flush time, shard)`.
     pub shipments: Vec<(Nanos, u32, ShipmentDigest)>,
-    /// Ops executed by each logical shard (skew diagnosis).
+    /// Ops executed by each logical shard.
     pub shard_ops: Vec<u64>,
     /// Ops per shard that failed on an injected fault (tolerated, like
     /// the chaos workloads; the final sync still has to succeed).
@@ -218,23 +211,11 @@ impl ShardReport {
         self.shard_ops.iter().sum()
     }
 
-    /// Ratio of the busiest shard's op count to the lightest's (1.0 is
-    /// perfectly balanced; the health-monitor example alerts above 2.0).
-    pub fn ops_skew(&self) -> f64 {
-        let max = self.shard_ops.iter().copied().max().unwrap_or(0);
-        let min = self.shard_ops.iter().copied().min().unwrap_or(0);
-        if min == 0 {
-            return if max == 0 { 1.0 } else { f64::INFINITY };
-        }
-        max as f64 / min as f64
-    }
-
     /// A deterministic digest of the merged run history: per-shard op and
     /// time streams, every merged counter block, the sequenced shipment
     /// journal and the metric dump. Two runs of the same script with the
     /// same plan produce byte-identical fingerprints at **any** worker
-    /// count — this is the equality the determinism suite and the CI
-    /// shard-smoke job assert.
+    /// count — this is the equality the determinism suite asserts.
     pub fn fingerprint(&self) -> String {
         let mut ship_hash = FNV_OFFSET;
         for &(at, shard, digest) in &self.shipments {
@@ -331,7 +312,7 @@ fn fnv_fold(hash: u64, value: u64) -> u64 {
 ///
 /// Configure once, [`execute`](ShardedRun::execute) many times: the same
 /// script produces the same [`ShardReport::fingerprint`] at every
-/// [`Shards`] width. See the [module documentation](self) for the
+/// [`Jobs`] width. See the [module documentation](self) for the
 /// decomposition rules.
 #[derive(Debug, Clone)]
 pub struct ShardedRun {
@@ -397,7 +378,7 @@ impl ShardedRun {
     }
 
     /// Routes `script` to the owning shards and runs every logical shard
-    /// to completion on up to `shards` worker threads, then merges the
+    /// to completion on up to `jobs` worker threads, then merges the
     /// per-shard histories in shard order.
     ///
     /// # Errors
@@ -409,7 +390,7 @@ impl ShardedRun {
     ///
     /// Panics if data verification fails — a read observing bytes that
     /// differ from the model is a simulator bug, not an input error.
-    pub fn execute(&self, script: &[ShardOp], shards: Shards) -> Result<ShardReport> {
+    pub fn execute(&self, script: &[ShardOp], jobs: Jobs) -> Result<ShardReport> {
         let logical = self.plan.logical() as usize;
         let mut streams: Vec<Vec<ShardOp>> = vec![Vec::new(); logical];
         for &op in script {
@@ -425,10 +406,9 @@ impl ShardedRun {
             }
         }
 
-        let outcomes: Vec<Result<ShardOutcome>> =
-            par_map(Jobs::new(shards.get()), streams, |shard, stream| {
-                self.run_shard(shard as u32, &stream)
-            });
+        let outcomes: Vec<Result<ShardOutcome>> = par_map(jobs, streams, |shard, stream| {
+            self.run_shard(shard as u32, &stream)
+        });
         let mut merged: Vec<ShardOutcome> = Vec::with_capacity(logical);
         for outcome in outcomes {
             merged.push(outcome?);
@@ -508,7 +488,6 @@ impl ShardedRun {
             telemetry.enable_timeseries(self.window_ns);
         }
         telemetry.set_trace_id_base((u64::from(shard) + 1) << 32);
-        let ops_counter = telemetry.counter_interned("shard.", shard, "ops");
 
         let mut rt = KonaRuntime::with_telemetry(slice, telemetry.clone())?;
         if let Some(policy) = self.policy {
@@ -572,7 +551,6 @@ impl ShardedRun {
                 },
             }
             ops += 1;
-            ops_counter.inc();
             if self.window_ns > 0 {
                 telemetry.observe_time(clock);
             }
@@ -632,9 +610,9 @@ mod tests {
     fn worker_count_does_not_change_the_fingerprint() {
         let run = small_run(64);
         let script = seeded_script(64, 1500, 7);
-        let serial = run.execute(&script, Shards::serial()).unwrap();
-        let two = run.execute(&script, Shards::new(2)).unwrap();
-        let wide = run.execute(&script, Shards::new(8)).unwrap();
+        let serial = run.execute(&script, Jobs::serial()).unwrap();
+        let two = run.execute(&script, Jobs::new(2)).unwrap();
+        let wide = run.execute(&script, Jobs::new(8)).unwrap();
         assert_eq!(serial.fingerprint(), two.fingerprint());
         assert_eq!(serial.fingerprint(), wide.fingerprint());
         // Syncs broadcast to every shard; point ops run exactly once.
@@ -646,30 +624,27 @@ mod tests {
     fn shard_ops_counters_reach_the_dump() {
         let run = small_run(32);
         let script = seeded_script(32, 400, 11);
-        let report = run.execute(&script, Shards::serial()).unwrap();
-        for shard in 0..4u32 {
-            let name = format!("shard.{shard}.ops");
-            assert!(
-                report.dump.counters.get(&name).copied().unwrap_or(0) > 0,
-                "{name} missing from merged dump"
-            );
-        }
-        assert!(report.ops_skew() >= 1.0);
+        let report = run.execute(&script, Jobs::serial()).unwrap();
+        assert_eq!(report.shard_ops.len(), 4);
+        assert!(report.shard_ops.iter().all(|&ops| ops > 0), "idle shard");
+        assert_eq!(report.shard_ops.iter().sum::<u64>(), report.total_ops());
+        let syncs = script.iter().filter(|o| matches!(o, ShardOp::Sync)).count() as u64;
+        assert_eq!(report.total_ops(), script.len() as u64 - syncs + syncs * 4);
         assert!(report.stats.app_dirty_bytes > 0);
     }
 
     #[test]
     fn plans_change_history_but_stay_deterministic() {
         let script = seeded_script(64, 800, 3);
-        let four = small_run(64).execute(&script, Shards::serial()).unwrap();
+        let four = small_run(64).execute(&script, Jobs::serial()).unwrap();
         let eight = ShardedRun::new(ClusterConfig::small(), 64)
             .with_plan(ShardPlan::new(8))
-            .execute(&script, Shards::new(3))
+            .execute(&script, Jobs::new(3))
             .unwrap();
         assert_ne!(four.fingerprint(), eight.fingerprint());
         let again = ShardedRun::new(ClusterConfig::small(), 64)
             .with_plan(ShardPlan::new(8))
-            .execute(&script, Shards::serial())
+            .execute(&script, Jobs::serial())
             .unwrap();
         assert_eq!(eight.fingerprint(), again.fingerprint());
     }
@@ -680,8 +655,8 @@ mod tests {
             .with_windows(kona_telemetry::DEFAULT_WINDOW_NS)
             .with_tracing(1 << 14);
         let script = seeded_script(48, 600, 19);
-        let serial = run.execute(&script, Shards::serial()).unwrap();
-        let wide = run.execute(&script, Shards::new(4)).unwrap();
+        let serial = run.execute(&script, Jobs::serial()).unwrap();
+        let wide = run.execute(&script, Jobs::new(4)).unwrap();
         assert_eq!(serial.fingerprint(), wide.fingerprint());
         assert!(serial.series.is_some());
         assert!(!serial.events.is_empty());

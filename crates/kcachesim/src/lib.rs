@@ -35,7 +35,7 @@
 mod model;
 mod sweep;
 
-pub use model::{simulate, simulate_sharded, AmatResult, SystemModel};
+pub use model::{simulate, AmatResult, SystemModel};
 pub use sweep::{
     sweep_associativity, sweep_associativity_jobs, sweep_block_size, sweep_block_size_jobs,
     sweep_cache_size, sweep_cache_size_jobs, SweepPoint,

@@ -2,7 +2,7 @@
 
 use kona_cache_sim::{CacheConfig, CacheHierarchy, HierarchyConfig};
 use kona_trace::{Trace, TraceEvent};
-use kona_types::{par_map, Jobs, Nanos, ShardPlan, Shards};
+use kona_types::Nanos;
 
 /// Latency model of one remote-memory system.
 ///
@@ -111,90 +111,8 @@ pub fn simulate(
     ways: usize,
 ) -> AmatResult {
     assert!(!trace.is_empty(), "cannot simulate an empty trace");
-    let footprint = trace.address_span();
-    let capacity = dram_capacity(footprint, cache_frac, block_size, ways);
-    let mut levels = HierarchyConfig::skylake().levels;
-    levels.push(
-        CacheConfig::new("DRAM-cache", capacity, ways, block_size)
-            .expect("capacity rounded to set multiple"),
-    );
-    let mut hierarchy = CacheHierarchy::new(HierarchyConfig { levels });
-
-    for event in trace.iter() {
-        hierarchy.access_range(event.access);
-    }
-    amat_of(&hierarchy, system)
-}
-
-/// Shard-parallel variant of [`simulate`]: the trace is striped over
-/// `plan.logical()` independent hierarchies by DRAM-cache block
-/// (`block_number % logical`), each shard gets an equal way-aligned slice
-/// of the DRAM-cache budget, and per-level hit counts merge in shard
-/// order. The partitioning is part of the model — the result depends on
-/// `plan`, but **not** on `shards`, which only picks how many worker
-/// threads drive the shard hierarchies.
-///
-/// # Panics
-///
-/// As for [`simulate`].
-pub fn simulate_sharded(
-    trace: &Trace,
-    system: &SystemModel,
-    cache_frac: f64,
-    block_size: u64,
-    ways: usize,
-    plan: ShardPlan,
-    shards: Shards,
-) -> AmatResult {
-    assert!(!trace.is_empty(), "cannot simulate an empty trace");
-    let logical = plan.logical() as usize;
-    let way_bytes = block_size * ways as u64;
     let capacity = dram_capacity(trace.address_span(), cache_frac, block_size, ways);
-    let shard_capacity = capacity / logical as u64 / way_bytes * way_bytes;
-
-    let mut streams: Vec<Vec<TraceEvent>> = vec![Vec::new(); logical];
-    for event in trace.iter() {
-        let block = event.access.addr.raw() / block_size;
-        streams[plan.shard_of_page(block) as usize].push(*event);
-    }
-
-    let driven = par_map(Jobs::new(shards.get()), streams, |_, events| {
-        drive(&events, shard_capacity, block_size, ways)
-    });
-
-    // Merge per-level hit counts in shard order, then price the merged
-    // fractions exactly like the unsharded path.
-    let depth = driven[0].depth();
-    let mut hits = vec![0u64; depth];
-    let mut memory = 0u64;
-    let mut total = 0u64;
-    for hierarchy in &driven {
-        for (level, count) in hits.iter_mut().enumerate() {
-            *count += hierarchy.level_stats(level).hits;
-        }
-        memory += hierarchy.memory_accesses();
-        total += hierarchy.total_accesses();
-    }
-    let latencies = [
-        system.cache_latencies[0],
-        system.cache_latencies[1],
-        system.cache_latencies[2],
-        system.dram_latency,
-        system.remote_latency,
-    ];
-    let mut fractions: Vec<f64> = hits.iter().map(|&h| h as f64 / total as f64).collect();
-    fractions.push(memory as f64 / total as f64);
-    assert_eq!(fractions.len(), 5, "expected 4 levels + memory");
-    let amat_ns = fractions
-        .iter()
-        .zip(latencies.iter())
-        .map(|(f, l)| f * l.as_ns() as f64)
-        .sum();
-    AmatResult {
-        amat_ns,
-        fractions,
-        accesses: total,
-    }
+    amat_of(&drive(trace.as_slice(), capacity, block_size, ways), system)
 }
 
 /// Computes the AMAT of an already-driven hierarchy under a system model.
@@ -345,38 +263,5 @@ mod tests {
     #[should_panic]
     fn empty_trace_panics() {
         simulate(&Trace::new(), &SystemModel::kona(), 0.5, 4096, 4);
-    }
-
-    #[test]
-    fn sharded_amat_is_worker_count_invariant() {
-        let trace = stream_trace(64, 3);
-        let plan = ShardPlan::new(4);
-        let serial = simulate_sharded(
-            &trace, &SystemModel::kona(), 0.5, 4096, 4, plan, Shards::serial(),
-        );
-        for workers in [2usize, 8] {
-            let wide = simulate_sharded(
-                &trace, &SystemModel::kona(), 0.5, 4096, 4, plan, Shards::new(workers),
-            );
-            assert_eq!(serial, wide, "workers={workers}");
-        }
-        let sum: f64 = serial.fractions.iter().sum();
-        assert!((sum - 1.0).abs() < 1e-9);
-        assert_eq!(serial.accesses, trace.iter().count() as u64 * 64);
-    }
-
-    #[test]
-    fn shard_plan_is_part_of_the_model() {
-        let trace = stream_trace(64, 3);
-        let four = simulate_sharded(
-            &trace, &SystemModel::kona(), 0.5, 4096, 4, ShardPlan::new(4), Shards::serial(),
-        );
-        let one = simulate_sharded(
-            &trace, &SystemModel::kona(), 0.5, 4096, 4, ShardPlan::new(1), Shards::serial(),
-        );
-        // A 1-way plan with the full budget matches the unsharded path.
-        let flat = simulate(&trace, &SystemModel::kona(), 0.5, 4096, 4);
-        assert_eq!(one, flat);
-        assert!(four.accesses == one.accesses);
     }
 }

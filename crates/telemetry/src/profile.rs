@@ -21,8 +21,8 @@
 //!
 //! Two export formats ship: collapsed stacks (`frame;frame;... value`,
 //! the format `flamegraph.pl` and inferno consume directly, weighted by
-//! self nanoseconds) and a line-oriented JSON document that
-//! [`Profile::from_json`] reads back.
+//! self nanoseconds) and a line-oriented JSON document, one path per
+//! line.
 //!
 //! Everything here is a function of simulated time only; host time is
 //! measured from outside, by `benchmark/`.
@@ -279,8 +279,8 @@ impl Profile {
         out
     }
 
-    /// Line-oriented JSON export: one `paths` element per line so the
-    /// zero-dependency [`Profile::from_json`] scanner reads it back.
+    /// Line-oriented JSON export: one `paths` element per line, so two
+    /// runs' profiles compare with plain `diff`.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
         let _ = writeln!(out, "\"violations\": {},", self.violations);
@@ -304,72 +304,6 @@ impl Profile {
         out.push_str("]\n}\n");
         out
     }
-
-    /// Parses a document produced by [`Profile::to_json`]. Returns `None`
-    /// when no `paths` array is recognizable. The scanner is line-based
-    /// and only as general as our own exporter — it is not a JSON parser.
-    pub fn from_json(text: &str) -> Option<Profile> {
-        let mut profile = Profile::default();
-        let mut saw_paths = false;
-        for line in text.lines() {
-            let trimmed = line.trim();
-            if let Some(rest) = trimmed.strip_prefix("\"violations\":") {
-                profile.violations = scan_u64_prefix(rest)?;
-            } else if let Some(rest) = trimmed.strip_prefix("\"track_totals\":") {
-                // {"application": 12, "eviction/poller": 34},
-                let body = rest.trim().trim_start_matches('{');
-                let body = body.trim_end_matches(',').trim_end_matches('}');
-                for pair in body.split(',') {
-                    let (name, value) = pair.split_once(':')?;
-                    let name = name.trim().trim_matches('"');
-                    if name.is_empty() {
-                        continue;
-                    }
-                    profile
-                        .track_totals
-                        .insert(name.to_string(), scan_u64_prefix(value)?);
-                }
-            } else if trimmed.starts_with("\"paths\":") {
-                saw_paths = true;
-            } else if trimmed.starts_with("{\"path\":") {
-                let path = scan_str_field(trimmed, "\"path\":")?;
-                let stats = PathStats {
-                    count: scan_u64_field(trimmed, "\"count\":")?,
-                    total_ns: scan_u64_field(trimmed, "\"total_ns\":")?,
-                    self_ns: scan_u64_field(trimmed, "\"self_ns\":")?,
-                };
-                profile.entries.insert(path, stats);
-            }
-        }
-        saw_paths.then_some(profile)
-    }
-}
-
-/// Parses the leading unsigned integer of `s` (whitespace and trailing
-/// punctuation tolerated).
-fn scan_u64_prefix(s: &str) -> Option<u64> {
-    let digits: String = s
-        .trim_start()
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect();
-    digits.parse().ok()
-}
-
-/// The number following `field` in `line`.
-fn scan_u64_field(line: &str, field: &str) -> Option<u64> {
-    let at = line.find(field)?;
-    scan_u64_prefix(&line[at + field.len()..])
-}
-
-/// The quoted string following `field` in `line` (our own paths contain
-/// no quotes or escapes, so a plain quote scan suffices).
-fn scan_str_field(line: &str, field: &str) -> Option<String> {
-    let at = line.find(field)?;
-    let rest = line[at + field.len()..].trim_start();
-    let rest = rest.strip_prefix('"')?;
-    let end = rest.find('"')?;
-    Some(rest[..end].to_string())
 }
 
 /// Queue/occupancy weather for one fabric link (initiator → memory
@@ -609,14 +543,6 @@ mod tests {
         let mut sorted = lines.clone();
         sorted.sort_unstable();
         assert_eq!(lines, sorted);
-    }
-
-    #[test]
-    fn json_round_trips() {
-        let p = Profile::from_spans(&sample_events());
-        let parsed = Profile::from_json(&p.to_json()).expect("parses");
-        assert_eq!(parsed, p);
-        assert!(Profile::from_json("not json").is_none());
     }
 
     #[test]

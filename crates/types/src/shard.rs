@@ -1,20 +1,13 @@
-//! Shard decomposition for single-run parallelism.
+//! Shard decomposition of one run's page space.
 //!
-//! PR 2's [`par_map`](crate::par_map) parallelizes *across* experiment
-//! points; one big simulation still runs on a single core. This module
-//! provides the vocabulary for splitting a single run: a [`ShardPlan`]
-//! deterministically partitions the page space into a **fixed number of
-//! logical shards**, and a [`Shards`] knob (`--shards N`) chooses how many
-//! worker threads execute those logical shards.
-//!
-//! The two numbers are deliberately decoupled. The logical decomposition
-//! is part of the *model* — it decides which pages share an eviction
-//! handler, a coherence-directory partition, an FMem slice and an RNG
-//! stream — so it must not change with the machine. The worker count is
-//! pure *execution width*: logical shards are independent, so running
-//! them on 1 thread or 8 produces the same per-shard histories, and an
-//! input-order merge makes the combined output byte-identical at every
-//! `--shards` value.
+//! A [`ShardPlan`] deterministically partitions the page space into a
+//! **fixed number of logical shards**. The decomposition is part of the
+//! *model* — it decides which pages share an eviction handler, a
+//! coherence-directory partition, an FMem slice and an RNG stream — so it
+//! never changes with the machine. Logical shards are independent, so the
+//! number of worker threads that execute them (a [`Jobs`](crate::Jobs))
+//! never changes the per-shard histories, and an input-order merge makes
+//! the combined output byte-identical at every worker count.
 //!
 //! Cross-shard result streams (shipment journals, trace spans) are
 //! recombined by [`sequence_streams`]: a stable k-way merge by simulated
@@ -42,12 +35,12 @@
 //! ]);
 //! ```
 
+use crate::par::Jobs;
 use crate::time::Nanos;
 
 /// Default logical shard count used by the sharded engine when the caller
 /// does not pick one. Eight keeps per-shard cache slices comfortably
-/// above one FMem set for the stock configs while leaving headroom for
-/// an 8-thread `--shards` run to win.
+/// above one FMem set for the stock configs.
 pub const DEFAULT_LOGICAL_SHARDS: u32 = 8;
 
 /// Derives a per-shard seed from a base seed: splitmix64 of the base
@@ -116,66 +109,9 @@ impl std::fmt::Display for ShardPlan {
     }
 }
 
-/// The worker-thread knob for sharded execution (`--shards N`).
-///
-/// Unlike [`Jobs`](crate::Jobs) this defaults to 1: sharded execution is
-/// opt-in per run, and `--shards 1` must reproduce the engine's output
-/// exactly (it runs the same logical shards sequentially).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Shards(usize);
-
-impl Shards {
-    /// Exactly `n` worker threads (0 is clamped to 1).
-    pub fn new(n: usize) -> Self {
-        Shards(n.max(1))
-    }
-
-    /// One worker: logical shards run sequentially on the calling thread.
-    pub fn serial() -> Self {
-        Shards(1)
-    }
-
-    /// One worker per available hardware thread.
-    pub fn available() -> Self {
-        Shards::new(
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1),
-        )
-    }
-
-    /// Parses a `--shards N` flag from pre-split argument strings; absent
-    /// or malformed flags fall back to [`Shards::serial`].
-    pub fn from_args(args: &[String]) -> Self {
-        args.iter()
-            .position(|a| a == "--shards")
-            .and_then(|i| args.get(i + 1))
-            .and_then(|v| v.parse::<usize>().ok())
-            .map_or_else(Shards::serial, Shards::new)
-    }
-
-    /// The worker count.
-    pub fn get(self) -> usize {
-        self.0
-    }
-
-    /// Whether shards run sequentially on the calling thread.
-    pub fn is_serial(self) -> bool {
-        self.0 == 1
-    }
-}
-
-impl Default for Shards {
-    fn default() -> Self {
-        Shards::serial()
-    }
-}
-
-impl std::fmt::Display for Shards {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
+/// The old name of the sharded engine's worker count, kept only because
+/// the benchmark package spells it this way; use [`Jobs`] everywhere else.
+pub type Shards = Jobs;
 
 /// Deterministically sequences per-shard `(time, item)` streams into one
 /// total order: ascending simulated time, ties broken by shard id, and
@@ -226,19 +162,6 @@ mod tests {
         assert_eq!(ShardPlan::new(0).logical(), 1);
         assert_eq!(ShardPlan::default().logical(), DEFAULT_LOGICAL_SHARDS);
         assert!(format!("{}", ShardPlan::new(4)).contains("4 logical"));
-    }
-
-    #[test]
-    fn shards_knob_parses() {
-        let args = |s: &[&str]| s.iter().map(ToString::to_string).collect::<Vec<_>>();
-        assert_eq!(Shards::from_args(&args(&["--shards", "8"])).get(), 8);
-        assert_eq!(Shards::from_args(&args(&["--shards", "0"])).get(), 1);
-        assert_eq!(Shards::from_args(&args(&["--quick"])).get(), 1);
-        assert_eq!(Shards::from_args(&args(&["--shards", "x"])).get(), 1);
-        assert!(Shards::serial().is_serial());
-        assert!(Shards::default().is_serial());
-        assert!(Shards::available().get() >= 1);
-        assert_eq!(format!("{}", Shards::new(5)), "5");
     }
 
     #[test]

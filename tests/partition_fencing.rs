@@ -18,7 +18,7 @@ use kona_cluster::{ClusterRuntime, ControlPlaneConfig};
 use kona_net::FaultPlan;
 use kona_telemetry::{Telemetry, DEFAULT_WINDOW_NS};
 use kona_types::rng::{Rng, StdRng};
-use kona_types::{par_map, Jobs, Nanos, ShardPlan, Shards};
+use kona_types::{par_map, Jobs, Nanos, ShardPlan};
 
 const PAGES: u64 = 64;
 const OPS: u64 = 1_500;
@@ -251,18 +251,18 @@ fn sharded_fingerprints_survive_partitions_at_any_width() {
             .with_windows(DEFAULT_WINDOW_NS)
             .with_failure_policy(FailurePolicy::PageFaultFallback);
         let base = sharded
-            .execute(&script, Shards::serial())
+            .execute(&script, Jobs::serial())
             .unwrap_or_else(|e| panic!("serial run under {name}: {e:?}"))
             .fingerprint();
         for workers in [2usize, 8] {
             let wide = sharded
-                .execute(&script, Shards::new(workers))
+                .execute(&script, Jobs::new(workers))
                 .unwrap_or_else(|e| panic!("{workers}-wide run under {name}: {e:?}"))
                 .fingerprint();
             assert_eq!(base, wide, "worker count changed history under {name}");
         }
         let replay = sharded
-            .execute(&script, Shards::serial())
+            .execute(&script, Jobs::serial())
             .expect("replay")
             .fingerprint();
         assert_eq!(base, replay, "replay diverged under {name}");

@@ -1,5 +1,5 @@
 //! Cross-crate integration tests for the deterministic profiling layer:
-//! byte-identity of folded profiles across worker counts and replays,
+//! byte-identity of folded profiles across replays,
 //! exact conservation of simulated time (per-path self sums equal
 //! per-track totals), a fabric slowdown landing on the `;verb` leaves,
 //! and the queueing/occupancy fold (`QueueStats`).
@@ -9,7 +9,7 @@ use kona_bench::profile_scenario;
 use kona_cluster::MemoryNodeRuntime;
 use kona_net::FaultPlan;
 use kona_telemetry::{Profile, QueueStats, Telemetry};
-use kona_types::{Nanos, Shards};
+use kona_types::Nanos;
 
 /// Span-ring capacity for the scenario runs — large enough that the
 /// quick scenario never drops (drops are tolerated by the fold, but a
@@ -18,8 +18,8 @@ const CAPACITY: usize = 1 << 16;
 
 const SEED: u64 = 42;
 
-fn scenario(shards: Shards) -> (String, String, String) {
-    let report = profile_scenario(SEED, true, shards, CAPACITY);
+fn scenario() -> (String, String, String) {
+    let report = profile_scenario(SEED, true, CAPACITY);
     let profile = report.profile.as_ref().expect("tracing enabled");
     let series = report.series.as_ref().expect("windows enabled");
     let queues = QueueStats::from_series(series);
@@ -33,18 +33,11 @@ fn scenario(shards: Shards) -> (String, String, String) {
     (profile.to_json(), profile.to_collapsed(), queue_text)
 }
 
+/// Replay: the same configuration reproduces the same bytes (the worker
+/// count half lives in `tests/shard_determinism.rs`).
 #[test]
-fn profiles_are_byte_identical_across_shard_counts_and_replay() {
-    let serial = scenario(Shards::serial());
-    for workers in [1usize, 2, 8] {
-        let wide = scenario(Shards::new(workers));
-        assert_eq!(serial.0, wide.0, "profile JSON diverged at {workers} workers");
-        assert_eq!(serial.1, wide.1, "collapsed stacks diverged at {workers} workers");
-        assert_eq!(serial.2, wide.2, "queue fold diverged at {workers} workers");
-    }
-    // Replay: the same configuration reproduces the same bytes.
-    let again = scenario(Shards::serial());
-    assert_eq!(serial, again, "replay diverged");
+fn profiles_are_byte_identical_across_replay() {
+    assert_eq!(scenario(), scenario(), "replay diverged");
 }
 
 #[test]
@@ -53,7 +46,7 @@ fn self_times_sum_exactly_to_track_totals() {
     // same-charge children are sequential on the charge clock, so
     // parent duration covers them and self = duration − Σ(children).
     for seed in [7u64, 42, 1234] {
-        let report = profile_scenario(seed, true, Shards::new(2), CAPACITY);
+        let report = profile_scenario(seed, true, CAPACITY);
         let profile = report.profile.as_ref().expect("tracing enabled");
         assert_eq!(
             profile.conservation_violations(),
@@ -68,16 +61,6 @@ fn self_times_sum_exactly_to_track_totals() {
             );
         }
     }
-}
-
-#[test]
-fn profile_json_round_trips() {
-    let report = profile_scenario(SEED, true, Shards::serial(), CAPACITY);
-    let profile = report.profile.as_ref().expect("tracing enabled");
-    let json = profile.to_json();
-    let parsed = Profile::from_json(&json).expect("own JSON parses");
-    assert_eq!(parsed.to_json(), json, "round trip must be byte-exact");
-    assert_eq!(parsed.to_collapsed(), profile.to_collapsed());
 }
 
 /// Self nanoseconds folded onto the `;verb` leaves, and onto every other
@@ -131,7 +114,7 @@ fn diff_blames_the_congested_wire_path() {
 fn queue_stats_fold_links_from_the_scenario_and_nodes_from_a_runtime() {
     // Links: the shard scenario's fabric traffic must surface per-link
     // WR counts and in-flight time.
-    let report = profile_scenario(SEED, true, Shards::serial(), CAPACITY);
+    let report = profile_scenario(SEED, true, CAPACITY);
     let series = report.series.as_ref().expect("windows enabled");
     let queues = QueueStats::from_series(series);
     assert!(!queues.links.is_empty(), "fabric traffic must appear per link");

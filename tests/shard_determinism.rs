@@ -1,15 +1,16 @@
-//! Shard-engine determinism: `--shards N` must be a pure execution-width
-//! knob. The logical decomposition ([`ShardPlan`]) fixes the model, so
-//! any worker count, any `par_map` job count, and any replay of the same
-//! inputs must produce byte-identical merged output — fingerprints,
-//! time-series JSON, span streams and metrics dumps — including under
-//! every bundled fault plan.
+//! Shard-engine determinism: the worker count passed to
+//! [`ShardedRun::execute`] must be pure execution width. The logical
+//! decomposition ([`ShardPlan`]) fixes the model, so any worker count,
+//! any `par_map` job count, and any replay of the same inputs must
+//! produce byte-identical merged output — fingerprints, time-series
+//! JSON, span streams, folded profiles and metrics dumps — including
+//! under every bundled fault plan.
 
 use kona::{seeded_script, ClusterConfig, FailurePolicy, ShardOp, ShardedRun};
 use kona_net::FaultPlan;
 use kona_telemetry::DEFAULT_WINDOW_NS;
 use kona_types::rng::{Rng, StdRng};
-use kona_types::{par_map, sequence_streams, Jobs, Nanos, ShardPlan, Shards};
+use kona_types::{par_map, sequence_streams, Jobs, Nanos, ShardPlan};
 
 const PAGES: u64 = 64;
 const OPS: usize = 800;
@@ -43,18 +44,18 @@ fn fingerprints_identical_across_worker_counts_and_replay() {
         let name = plan.name;
         let sharded = run(Some(plan));
         let base = sharded
-            .execute(&script, Shards::serial())
+            .execute(&script, Jobs::serial())
             .unwrap_or_else(|e| panic!("serial run under {name}: {e:?}"))
             .fingerprint();
         for workers in [2usize, 8] {
             let wide = sharded
-                .execute(&script, Shards::new(workers))
+                .execute(&script, Jobs::new(workers))
                 .unwrap_or_else(|e| panic!("{workers}-worker run under {name}: {e:?}"))
                 .fingerprint();
             assert_eq!(base, wide, "worker count changed history under {name}");
         }
         let replay = sharded
-            .execute(&script, Shards::serial())
+            .execute(&script, Jobs::serial())
             .expect("replay")
             .fingerprint();
         assert_eq!(base, replay, "replay diverged under {name}");
@@ -70,7 +71,7 @@ fn plan_sweep_is_job_count_invariant() {
         .into_iter()
         .map(|plan| {
             run(Some(plan))
-                .execute(&script, Shards::serial())
+                .execute(&script, Jobs::serial())
                 .expect("serial sweep")
                 .fingerprint()
         })
@@ -80,7 +81,7 @@ fn plan_sweep_is_job_count_invariant() {
         FaultPlan::bundled(SEED, VICTIM),
         |_, plan| {
             run(Some(plan))
-                .execute(&script, Shards::new(2))
+                .execute(&script, Jobs::new(2))
                 .expect("parallel sweep")
                 .fingerprint()
         },
@@ -88,8 +89,9 @@ fn plan_sweep_is_job_count_invariant() {
     assert_eq!(serial, parallel, "par_map reordered or perturbed results");
 }
 
-/// The windowed series, span stream and metrics dump merge identically
-/// at any worker count (the observability outputs, not just counters).
+/// The windowed series, span stream, folded profile and metrics dump
+/// merge identically at any worker count (the observability outputs,
+/// not just counters).
 #[test]
 fn series_spans_and_dump_merge_deterministically() {
     let script = seeded_script(PAGES, OPS, SEED);
@@ -97,28 +99,35 @@ fn series_spans_and_dump_merge_deterministically() {
         .with_plan(ShardPlan::new(8))
         .with_windows(DEFAULT_WINDOW_NS)
         .with_tracing(4096);
-    let serial = sharded.execute(&script, Shards::serial()).expect("serial");
-    let wide = sharded.execute(&script, Shards::new(8)).expect("wide");
-    assert_eq!(
-        serial.series.as_ref().expect("series").to_json(),
-        wide.series.as_ref().expect("series").to_json(),
-        "series JSON diverged"
-    );
-    assert_eq!(serial.events, wide.events, "span streams diverged");
-    assert_eq!(
-        format!("{:?}", serial.dump),
-        format!("{:?}", wide.dump),
-        "metrics dump diverged"
-    );
-    assert!(
-        !serial.events.is_empty(),
-        "tracing produced no spans to compare"
-    );
-    // Per-shard ops counters surface in the merged dump.
-    for shard in 0..8u32 {
-        assert!(
-            serial.dump.counters.contains_key(&format!("shard.{shard}.ops")),
-            "shard.{shard}.ops missing from merged dump"
+    let serial = sharded.execute(&script, Jobs::serial()).expect("serial");
+    let profile = serial.profile.as_ref().expect("profile");
+    assert!(!serial.events.is_empty(), "tracing produced no spans to compare");
+    assert!(!profile.is_empty(), "tracing folded no profile to compare");
+    assert!(serial.shard_ops.iter().all(|&o| o > 0), "idle shard");
+    assert_eq!(serial.shard_ops.iter().sum::<u64>(), serial.total_ops());
+    for workers in [2usize, 8] {
+        let wide = sharded.execute(&script, Jobs::new(workers)).expect("wide");
+        assert_eq!(
+            serial.series.as_ref().expect("series").to_json(),
+            wide.series.as_ref().expect("series").to_json(),
+            "series JSON diverged at {workers} workers"
+        );
+        let wide_profile = wide.profile.as_ref().expect("profile");
+        assert_eq!(
+            profile.to_json(),
+            wide_profile.to_json(),
+            "profile JSON diverged at {workers} workers"
+        );
+        assert_eq!(
+            profile.to_collapsed(),
+            wide_profile.to_collapsed(),
+            "collapsed stacks diverged at {workers} workers"
+        );
+        assert_eq!(serial.events, wide.events, "span streams diverged");
+        assert_eq!(
+            format!("{:?}", serial.dump),
+            format!("{:?}", wide.dump),
+            "metrics dump diverged at {workers} workers"
         );
     }
 }
@@ -130,7 +139,7 @@ fn sync_broadcast_and_op_accounting() {
     let script = seeded_script(PAGES, OPS, SEED);
     let syncs = script.iter().filter(|op| matches!(op, ShardOp::Sync)).count() as u64;
     let report = run(None)
-        .execute(&script, Shards::new(2))
+        .execute(&script, Jobs::new(2))
         .expect("run completes");
     let expected = (script.len() as u64 - syncs) + syncs * 8;
     assert_eq!(report.total_ops(), expected, "op accounting leaked");

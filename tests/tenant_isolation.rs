@@ -249,7 +249,7 @@ fn seeded_run(seed: u64) -> u64 {
 }
 
 #[test]
-fn fingerprints_identical_across_jobs_shards_and_replay() {
+fn fingerprints_identical_across_jobs_and_replay() {
     let serial = seeded_run(1234);
     // Replay: same seed, same timeline, same fingerprint.
     assert_eq!(serial, seeded_run(1234), "replay must be byte-identical");
