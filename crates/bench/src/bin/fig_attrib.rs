@@ -1,13 +1,16 @@
-//! Critical-path latency attribution tables (causal tracing).
+//! Critical-path latency attribution and simulated-time profiles (causal
+//! tracing).
 //!
 //! Replays each Table 2 workload through a Kona runtime with causal
 //! tracing on, then prints where every nanosecond of end-to-end simulated
 //! latency went: local hits, coherence work, FMem fills, wire time, copy
 //! engines, retry backoff and queueing — per operation kind, with the
-//! hidden (overlapped background) side alongside. The attribution engine
-//! enforces the exact-sum invariant (critical components == end-to-end
-//! latency) per trace; the process exits non-zero on any violation or any
-//! dropped span, so CI can gate on it.
+//! hidden (overlapped background) side alongside — then the `--top N`
+//! slowest traces and hottest call paths. The attribution engine enforces
+//! the exact-sum invariant (critical components == end-to-end latency)
+//! per trace and folds each trace into the profile as it completes, so
+//! no span ring is needed; the process exits non-zero on any violation,
+//! any non-conserving profile or any dropped span, so CI can gate on it.
 //!
 //! Workloads fan out over `--jobs` worker threads. Each worker runs a
 //! private telemetry whose trace-id base is derived from the workload
@@ -16,12 +19,14 @@
 //!
 //! ```bash
 //! cargo run --release --bin fig_attrib -- --quick
-//! cargo run --release --bin fig_attrib -- --workload redis-rand \
+//! cargo run --release --bin fig_attrib -- --workload redis-rand --top 10 \
 //!     --attrib-out attrib.json --trace-out trace.json
 //! ```
 
 use kona::{ClusterConfig, KonaRuntime, RemoteMemoryRuntime};
-use kona_bench::{banner, workload_by_name, ExpOptions, TextTable, WORKLOAD_NAMES};
+use kona_bench::{
+    banner, print_top_paths, workload_by_name, ExpOptions, TextTable, TOP_PATHS, WORKLOAD_NAMES,
+};
 use kona_telemetry::{
     AttributionEngine, Component, MetricsDump, Profile, SpanEvent, Telemetry, TraceAttribution,
 };
@@ -32,12 +37,10 @@ use std::process::ExitCode;
 /// Completed traces kept in the flight recorder per workload run.
 const FLIGHT_CAPACITY: usize = 8;
 
-/// Slowest traces shown per workload.
-const TOP_K: usize = 5;
-
 struct WorkloadAttrib {
     name: String,
     engine: AttributionEngine,
+    profile: Profile,
     dropped: u64,
     events: Vec<SpanEvent>,
     dump: MetricsDump,
@@ -46,13 +49,13 @@ struct WorkloadAttrib {
 /// Replays workload `name` with causal tracing; `idx` seeds the trace-id
 /// base so ids stay globally unique and deterministic across job counts.
 /// Span events are retained (ring capacity > 0) only when a `--trace-out`
-/// timeline was requested — attribution itself consumes each trace at
-/// `trace_end` and needs no retention, so unbounded runs stay drop-free.
-fn run_one(idx: usize, name: &str, quick: bool, span_capacity: usize) -> WorkloadAttrib {
+/// timeline was requested — attribution and the profile consume each
+/// trace at `trace_end` and need no retention, so they stay drop-free.
+fn run_one(idx: usize, name: &str, quick: bool, seed: u64, span_capacity: usize) -> WorkloadAttrib {
     let windows = if quick { 2 } else { 4 };
     let profile = WorkloadProfile::default().with_windows(windows);
     let wl = workload_by_name(name, profile).expect("known workload");
-    let trace = wl.generate(42);
+    let trace = wl.generate(seed);
     let span = align_up(trace.address_span() + PAGE_SIZE_4K, PAGE_SIZE_4K);
     let pages = span / PAGE_SIZE_4K;
 
@@ -70,9 +73,11 @@ fn run_one(idx: usize, name: &str, quick: bool, span_capacity: usize) -> Workloa
     rt.run_trace(trace.as_slice()).expect("trace runs");
     rt.sync().expect("sync");
 
+    let engine = tel.attribution().expect("causal telemetry has an engine");
     WorkloadAttrib {
         name: wl.name().to_string(),
-        engine: tel.attribution().expect("causal telemetry has an engine"),
+        profile: engine.profile(),
+        engine,
         dropped: tel.dropped_events(),
         events: tel.events(),
         dump: tel.dump(),
@@ -88,12 +93,12 @@ fn attribution_row(label: String, count: u64, total_ns: u64, v: &kona_telemetry:
     row
 }
 
-fn print_top(top: &[TraceAttribution]) {
+fn print_top(top: &[TraceAttribution], k: usize) {
     if top.is_empty() {
         return;
     }
     println!("slowest traces (duration desc, trace id asc):");
-    for t in top.iter().take(TOP_K) {
+    for t in top.iter().take(k) {
         let parts: Vec<String> = Component::ALL
             .iter()
             .filter(|&&c| t.critical.get(c) > 0)
@@ -121,8 +126,10 @@ fn main() -> ExitCode {
     let names: Vec<String> = match opts.value_of("workload") {
         Some(w) => {
             if !WORKLOAD_NAMES.contains(&w) {
-                eprintln!("unknown workload {w}; choose from {WORKLOAD_NAMES:?}");
-                return ExitCode::FAILURE;
+                eprintln!(
+                    "usage: --workload {w}: unknown workload; choose from {WORKLOAD_NAMES:?}"
+                );
+                return ExitCode::from(2);
             }
             vec![w.to_string()]
         }
@@ -130,22 +137,24 @@ fn main() -> ExitCode {
     };
 
     let quick = opts.quick;
-    // Span retention feeds both the `--trace-out` timeline and the
-    // folded profile (`--profile-out`/`--flame-out`).
-    let span_capacity = if opts.trace_out().is_some() || opts.profiling() {
+    let seed = opts.seed();
+    let top = opts.parsed("top").unwrap_or(TOP_PATHS);
+    // Span retention feeds only the `--trace-out` timeline.
+    let span_capacity = if opts.trace_out().is_some() {
         opts.trace_capacity()
     } else {
         0
     };
     let items: Vec<(usize, String)> = names.into_iter().enumerate().collect();
     let results = par_map(opts.jobs, items, move |_, (idx, name)| {
-        run_one(idx, &name, quick, span_capacity)
+        run_one(idx, &name, quick, seed, span_capacity)
     });
 
     // Merge into one output telemetry in workload order: the registry via
     // dump/absorb, the span streams by replay. Identical at every --jobs.
     let tel = opts.telemetry();
     let mut violations = 0u64;
+    let mut conservation = 0u64;
     let mut dropped = 0u64;
     let mut json = String::from("{\n\"workloads\": {\n");
     for (i, r) in results.iter().enumerate() {
@@ -154,6 +163,7 @@ fn main() -> ExitCode {
             tel.record(ev);
         }
         violations += r.engine.violations();
+        conservation += r.profile.conservation_violations();
         dropped += r.dropped;
 
         let overall = r.engine.overall();
@@ -186,7 +196,8 @@ fn main() -> ExitCode {
             overall.hidden.total(),
         ));
         table.print();
-        print_top(r.engine.top());
+        print_top(r.engine.top(), top);
+        print_top_paths(&r.profile, top);
         if r.dropped > 0 {
             println!("warning: {} spans dropped (ring wrapped)", r.dropped);
         }
@@ -229,23 +240,20 @@ fn main() -> ExitCode {
     }
     opts.write_outputs(&tel);
     if opts.profiling() {
-        // Fold per workload (span ids are per-telemetry), namespace by
-        // workload name, then merge by path key — order-independent.
-        let mut profile: Option<Profile> = None;
+        // Namespace each workload's profile by its name, then merge by
+        // path key — order-independent.
+        let mut profile = Profile::default();
         for r in &results {
-            let p = Profile::from_spans(&r.events).prefixed(&r.name);
-            match &mut profile {
-                Some(all) => all.merge(&p),
-                None => profile = Some(p),
-            }
+            profile.merge(&r.profile.prefixed(&r.name));
         }
-        if let Some(p) = &profile {
-            opts.write_profile(p);
-        }
+        opts.write_profile(&profile);
     }
 
-    if violations > 0 || dropped > 0 {
-        eprintln!("FAIL: {violations} invariant violations, {dropped} dropped spans");
+    if violations > 0 || conservation > 0 || dropped > 0 {
+        eprintln!(
+            "FAIL: {violations} invariant violations, {conservation} conservation violations, \
+             {dropped} dropped spans"
+        );
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS

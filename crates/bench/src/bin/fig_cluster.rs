@@ -8,8 +8,12 @@
 //! lotteries and the workload are all seeded, so a given `--seed`
 //! reproduces the run bit for bit at any `--jobs` count.
 //!
+//! A profiled calm-plan segment follows: its hottest paths (remote-CPU
+//! apply and compaction included) and its per-link and per-node queues.
+//!
 //! The run exits non-zero if any plan drops below 100% availability or
-//! leaves a slab under-replicated — the CI cluster-smoke gate.
+//! leaves a slab under-replicated, or if the segment's profile does not
+//! conserve simulated time — the CI cluster-smoke gate.
 //!
 //! ```bash
 //! cargo run --release --bin fig_cluster -- --quick
@@ -17,9 +21,10 @@
 //! ```
 
 use kona::{ClusterConfig, PlacementKind, RemoteMemoryRuntime};
-use kona_bench::{banner, f2, ExpOptions, TextTable};
+use kona_bench::{banner, cluster_segment, f2, print_top_paths, ExpOptions, TextTable, TOP_PATHS};
 use kona_cluster::{ClusterRuntime, ClusterStats, ControlPlaneConfig};
 use kona_net::FaultPlan;
+use kona_telemetry::QueueStats;
 use kona_types::par_map;
 use kona_types::rng::{Rng, StdRng};
 
@@ -131,6 +136,40 @@ fn run_plan(
     }
 }
 
+/// Prints the queueing/occupancy tables folded from the windowed series
+/// — the congestion view the event-queue scheduler refactor will be
+/// validated against.
+fn print_queue_tables(queues: &QueueStats) {
+    println!("per-link in-flight depth (fabric link = initiator -> memory node):");
+    let mut links = TextTable::new(&[
+        "Link",
+        "WRs",
+        "Inflight(WR*ns)",
+        "PeakMeanDepth",
+        "PeakChainDepth",
+    ]);
+    for (id, link) in &queues.links {
+        links.row(vec![
+            format!("node{id}"),
+            link.wrs.to_string(),
+            link.inflight_ns.to_string(),
+            format!("{:.3}", link.peak_mean_depth),
+            link.peak_chain_depth.to_string(),
+        ]);
+    }
+    links.print();
+    println!("\nper-node apply backlog (ingest peaks + window boundaries):");
+    let mut nodes = TextTable::new(&["Node", "PeakBacklogBytes", "PeakBacklogBatches"]);
+    for (id, node) in &queues.nodes {
+        nodes.row(vec![
+            format!("node{id}"),
+            node.peak_backlog_bytes.to_string(),
+            node.peak_backlog_batches.to_string(),
+        ]);
+    }
+    nodes.print();
+}
+
 fn main() {
     let opts = ExpOptions::from_env();
     banner(
@@ -208,6 +247,17 @@ fn main() {
          UnderRepl = 0) — the K-way budget is restored, not just spent.\n\
          Backlogs drain to zero and reads verify byte-exact throughout."
     );
+
+    let (profile, queues, _) = cluster_segment(seed, opts.quick, opts.trace_capacity());
+    println!("\n--- cluster segment (apply/compaction, calm plan) ---");
+    print_top_paths(&profile, TOP_PATHS);
+    println!();
+    print_queue_tables(&queues);
+    let conservation = profile.conservation_violations();
+    if conservation > 0 {
+        eprintln!("\ncluster segment: {conservation} conservation violations");
+        gate_failures += 1;
+    }
 
     let merged = series_window.map(|window| {
         let mut all = kona_telemetry::SeriesData::new(window);

@@ -8,10 +8,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use kona::{seeded_script, ClusterConfig, FailurePolicy, ShardReport, ShardedRun};
+use kona::{ClusterConfig, RemoteMemoryRuntime};
+use kona_cluster::{ClusterRuntime, ControlPlaneConfig};
 use kona_net::FaultPlan;
-use kona_telemetry::{Profile, SeriesData, Telemetry, DEFAULT_WINDOW_NS};
-use kona_types::{Jobs, Nanos, ShardPlan};
+use kona_telemetry::{Profile, QueueStats, SeriesData, Telemetry, DEFAULT_WINDOW_NS};
+use kona_types::rng::{Rng, StdRng};
+use kona_types::{Jobs, Nanos};
 use kona_workloads::{
     GraphAlgorithm, GraphWorkload, HistogramWorkload, LinearRegressionWorkload, RedisWorkload,
     VoltDbWorkload, Workload, WorkloadProfile,
@@ -181,8 +183,7 @@ impl ExpOptions {
     }
 
     /// Whether any profile artifact was requested (`--profile-out` or
-    /// `--flame-out`) — this turns span tracing on just like
-    /// `--trace-out` does, since profiles fold from the span stream.
+    /// `--flame-out`).
     pub fn profiling(&self) -> bool {
         self.profile_out().is_some() || self.flame_out().is_some()
     }
@@ -235,12 +236,11 @@ impl ExpOptions {
     }
 
     /// Telemetry for the run: span tracing is enabled only when
-    /// `--trace-out` asks for a timeline or `--profile-out`/`--flame-out`
-    /// ask for a profile (the metrics registry records either way), and
-    /// windowed series collection only when `--window-ns`/`--series-out`
-    /// ask for it.
+    /// `--trace-out` asks for a timeline (the metrics registry records
+    /// either way), and windowed series collection only when
+    /// `--window-ns`/`--series-out` ask for it.
     pub fn telemetry(&self) -> Telemetry {
-        let tel = if self.trace_out().is_some() || self.profiling() {
+        let tel = if self.trace_out().is_some() {
             Telemetry::with_tracing(self.trace_capacity())
         } else {
             Telemetry::disabled()
@@ -327,39 +327,79 @@ impl Default for ExpOptions {
     }
 }
 
-/// Global pages in the canonical profiling scenario's page space.
-pub const PROFILE_SCENARIO_PAGES: u64 = 256;
-/// Logical shards in the canonical profiling scenario.
-pub const PROFILE_SCENARIO_LOGICAL: u32 = 8;
+/// Hot paths shown per profile table by default (`fig_attrib --top N`).
+pub const TOP_PATHS: usize = 5;
 
-/// Runs the canonical profiling scenario: a shrunken-cache sharded
-/// cluster (3 memory nodes, replication 2, caches smaller than the page
-/// stripe so eviction/writeback paths stay hot) over a seeded mixed
-/// read/write script, with span tracing and windowed series on.
-///
-/// The logical decomposition is fixed at [`PROFILE_SCENARIO_LOGICAL`]
-/// shards, which run serially and merge in shard order. `fig_profile`
-/// and the determinism tests fold profiles from this one scenario.
+/// Runs the cluster profiling segment: a calm-plan workload through the
+/// full cluster control plane, traced and windowed. A lazy control plane
+/// (long tick) lets the apply backlog pile up across window boundaries.
+/// Returns the profile folded from the span ring, the queue fold and the
+/// spans the ring dropped.
 ///
 /// # Panics
 ///
-/// Panics if the sharded run fails — the calm plan injects no faults, so
-/// any error is a simulator bug.
-pub fn profile_scenario(seed: u64, quick: bool, trace_capacity: usize) -> ShardReport {
-    let ops = if quick { 2_000 } else { 12_000 };
-    let script = seeded_script(PROFILE_SCENARIO_PAGES, ops, seed);
-    let mut cfg = ClusterConfig::small().with_replicas(2);
+/// Panics if an access fails: the calm plan injects no faults.
+pub fn cluster_segment(
+    seed: u64,
+    quick: bool,
+    trace_capacity: usize,
+) -> (Profile, QueueStats, u64) {
+    const PAGES: u64 = 64;
+    let ops = if quick { 600 } else { 6_000 };
+    let mut cfg = ClusterConfig::small()
+        .with_local_cache_pages(8)
+        .with_replicas(2);
+    cfg.cpu_cache_lines = 64;
     cfg.memory_nodes = 3;
-    cfg.local_cache_pages = 64;
-    cfg.cpu_cache_lines = 512;
     cfg.fault_plan = Some(FaultPlan::calm(seed));
-    ShardedRun::new(cfg, PROFILE_SCENARIO_PAGES)
-        .with_plan(ShardPlan::new(PROFILE_SCENARIO_LOGICAL))
-        .with_windows(DEFAULT_WINDOW_NS)
-        .with_tracing(trace_capacity)
-        .with_failure_policy(FailurePolicy::PageFaultFallback)
-        .execute(&script, Jobs::serial())
-        .expect("profile scenario completes")
+    let tel = Telemetry::with_tracing(trace_capacity);
+    tel.enable_timeseries(DEFAULT_WINDOW_NS);
+    let plane = ControlPlaneConfig {
+        tick_ops: 256,
+        ..ControlPlaneConfig::default()
+    };
+    let mut rt = ClusterRuntime::with_telemetry(cfg, plane, tel.clone()).expect("valid config");
+    let base = rt.allocate(PAGES * 4096).expect("allocate");
+    let mut rng = StdRng::seed_from_u64(seed);
+    for i in 0..ops {
+        let page = rng.gen_range(0..PAGES);
+        let addr = base + page * 4096 + rng.gen_range(0..64) * 64;
+        if rng.gen_bool(0.5) {
+            let byte: u8 = rng.gen();
+            rt.write_bytes(addr, &[byte; 64]).expect("calm write");
+        } else {
+            let mut buf = [0u8; 64];
+            rt.read_bytes(addr, &mut buf).expect("calm read");
+        }
+        if i % 256 == 255 {
+            rt.sync().expect("calm sync");
+        }
+    }
+    rt.sync().expect("final sync");
+    let profile = Profile::from_spans(&tel.events());
+    let queues = QueueStats::from_series(&tel.series().expect("series enabled"));
+    (profile, queues, tel.dropped_events())
+}
+
+/// Prints one profile's `top` hottest paths (self-time desc, path asc).
+pub fn print_top_paths(profile: &Profile, top: usize) {
+    let mut table = TextTable::new(&["Path", "Count", "Total(ns)", "Self(ns)", "Self%"]);
+    let self_sum: u64 = profile.track_totals().values().sum();
+    for (path, stats) in profile.top_by_self(top) {
+        let pct = if self_sum > 0 {
+            100.0 * stats.self_ns as f64 / self_sum as f64
+        } else {
+            0.0
+        };
+        table.row(vec![
+            path.to_string(),
+            stats.count.to_string(),
+            stats.total_ns.to_string(),
+            stats.self_ns.to_string(),
+            format!("{pct:.1}"),
+        ]);
+    }
+    table.print();
 }
 
 /// `raw` parsed as a `T`, or the usage line naming `what`.

@@ -27,6 +27,7 @@
 //! `obs-smoke` CI job require to be zero).
 
 use crate::event::EventKind;
+use crate::profile::{Profile, ProfileFold};
 use crate::trace::{charge_of, OpKind, TraceRecord};
 use crate::Track;
 use kona_types::Nanos;
@@ -250,9 +251,9 @@ pub struct OpAttribution {
 }
 
 /// Streaming aggregator: observes each completed trace, keeps per-op and
-/// overall component sums plus the top-k slowest traces, and counts
+/// overall component sums plus the top-k slowest traces, counts
 /// invariant violations (traces whose critical components did not sum to
-/// their duration — must stay zero).
+/// their duration — must stay zero), and folds the trace into a [`Profile`].
 #[derive(Debug, Clone)]
 pub struct AttributionEngine {
     ops: BTreeMap<OpKind, OpAttribution>,
@@ -260,6 +261,7 @@ pub struct AttributionEngine {
     top_k: usize,
     traces: u64,
     violations: u64,
+    profile: ProfileFold,
 }
 
 impl AttributionEngine {
@@ -271,11 +273,13 @@ impl AttributionEngine {
             top_k,
             traces: 0,
             violations: 0,
+            profile: ProfileFold::default(),
         }
     }
 
-    /// Folds one completed trace into the aggregate.
+    /// Folds one completed trace into the aggregate and the profile.
     pub fn observe(&mut self, rec: &TraceRecord) {
+        self.profile.fold(&rec.spans);
         let Some(attr) = analyze_trace(rec) else {
             self.violations += 1;
             return;
@@ -300,6 +304,12 @@ impl AttributionEngine {
             .unwrap_or(self.top.len());
         self.top.insert(insert_at, attr);
         self.top.truncate(self.top_k);
+    }
+
+    /// Every observed trace's spans folded into one profile, exactly as
+    /// [`Profile::from_spans`] folds the same spans from a drop-free ring.
+    pub fn profile(&self) -> Profile {
+        self.profile.profile()
     }
 
     /// Traces observed.

@@ -1,23 +1,22 @@
 //! Deterministic simulated-time profiling and queueing/occupancy
 //! folding.
 //!
-//! [`Profile`] folds one telemetry's span stream into a weighted
-//! call-path tree: for every `(charge track, span-name path)` it keeps
-//! the call count plus *total* and *self* simulated nanoseconds, where
-//! self time is the span's duration minus the time covered by its
-//! same-charge children. The fold runs per span stream (one
-//! [`Telemetry`](crate::Telemetry) instance), so span ids resolve
-//! unambiguously; per-shard profiles [`merge`](Profile::merge) by path
-//! key in shard order, which is associative and therefore byte-identical
-//! at any worker count — the same discipline the sharded engine applies
-//! to counters and series.
+//! [`Profile`] folds span streams into a weighted call-path tree: for
+//! every `(charge track, span-name path)` it keeps the call count plus
+//! *total* and *self* simulated nanoseconds, where self time is the
+//! span's duration minus the time covered by its same-charge children.
+//! One fold serves both feeds: the attribution engine's completed traces
+//! (a causal run is profiled whole, with no span ring) and
+//! [`Profile::from_spans`]'s retained ring. Per-run profiles
+//! [`merge`](Profile::merge) by path key, which is associative and
+//! therefore byte-identical at any worker count.
 //!
 //! The charge-clock invariant from `trace.rs` (a parent's recorded
 //! duration covers its same-charge children, which never overlap) makes
 //! the fold *exact*: per charge track, the self times of every path sum
 //! to the total duration of that track's root spans. Violations of that
-//! invariant are counted, never papered over, and the `fig_profile`
-//! binary gates on the count staying zero.
+//! invariant are counted, never papered over, and `fig_attrib` and
+//! `fig_cluster` gate on the count staying zero.
 //!
 //! Two export formats ship: collapsed stacks (`frame;frame;... value`,
 //! the format `flamegraph.pl` and inferno consume directly, weighted by
@@ -29,6 +28,7 @@
 
 use crate::event::{SpanEvent, Track};
 use crate::timeseries::SeriesData;
+use crate::trace::charge_of;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -68,107 +68,9 @@ impl Profile {
     /// conservation property below survives oldest-first ring drops
     /// because children are always recorded before their parents.
     pub fn from_spans(events: &[SpanEvent]) -> Profile {
-        // Span id -> index for parent resolution.
-        let mut by_id: BTreeMap<u32, usize> = BTreeMap::new();
-        for (i, ev) in events.iter().enumerate() {
-            if ev.span.is_some() {
-                by_id.insert(ev.span.0, i);
-            }
-        }
-        let parent_of = |ev: &SpanEvent| -> Option<usize> {
-            if ev.parent.is_some() {
-                by_id.get(&ev.parent.0).copied()
-            } else {
-                None
-            }
-        };
-
-        // Effective charge per span, memoized; chains are short but the
-        // walk is iterative so hostile streams cannot recurse deep.
-        let mut charge: Vec<Option<Track>> = vec![None; events.len()];
-        for i in 0..events.len() {
-            if charge[i].is_some() {
-                continue;
-            }
-            let mut chain = vec![i];
-            let mut parent_charge = None;
-            while let Some(pi) = parent_of(&events[*chain.last().expect("nonempty")]) {
-                if let Some(c) = charge[pi] {
-                    parent_charge = Some(c);
-                    break;
-                }
-                if chain.contains(&pi) {
-                    break; // malformed parent cycle: treat as root
-                }
-                chain.push(pi);
-            }
-            for &j in chain.iter().rev() {
-                let c = crate::trace::charge_of(events[j].track, parent_charge);
-                charge[j] = Some(c);
-                parent_charge = Some(c);
-            }
-        }
-        let charge = |i: usize| charge[i].expect("charge computed for every span");
-
-        // Same-charge child durations, accumulated onto each parent.
-        let mut child_ns: Vec<u64> = vec![0; events.len()];
-        for (i, ev) in events.iter().enumerate() {
-            if ev.is_instant() {
-                continue;
-            }
-            if let Some(pi) = parent_of(ev) {
-                if pi != i && charge(pi) == charge(i) {
-                    child_ns[pi] += ev.duration.as_ns();
-                }
-            }
-        }
-
-        let mut profile = Profile::default();
-        let mut path = String::new();
-        for (i, ev) in events.iter().enumerate() {
-            if ev.is_instant() {
-                continue;
-            }
-            let c = charge(i);
-            // Frames root-to-leaf: walk the parent chain, then reverse.
-            let mut frames = vec![ev.kind.name()];
-            let mut cursor = parent_of(ev);
-            while let Some(pi) = cursor {
-                frames.push(events[pi].kind.name());
-                if frames.len() > events.len() {
-                    break; // malformed cycle; bounded walk
-                }
-                cursor = parent_of(&events[pi]);
-            }
-            path.clear();
-            path.push_str(c.name());
-            for frame in frames.iter().rev() {
-                path.push(';');
-                path.push_str(frame);
-            }
-
-            let d = ev.duration.as_ns();
-            let covered = child_ns[i];
-            let (self_ns, violated) = if covered > d {
-                (0, 1)
-            } else {
-                (d - covered, 0)
-            };
-            profile.violations += violated;
-            let entry = profile.entries.entry(path.clone()).or_default();
-            entry.count += 1;
-            entry.total_ns += d;
-            entry.self_ns += self_ns;
-
-            let is_root = match parent_of(ev) {
-                None => true,
-                Some(pi) => charge(pi) != c,
-            };
-            if is_root {
-                *profile.track_totals.entry(c.name().to_string()).or_default() += d;
-            }
-        }
-        profile
+        let mut fold = ProfileFold::default();
+        fold.fold(events);
+        fold.profile()
     }
 
     /// Merges `other` into `self`: path weights and track totals add,
@@ -243,7 +145,7 @@ impl Profile {
 
     /// Exact-sum check: invariant violations plus every track whose
     /// per-path self times do not sum to its root total. Zero means the
-    /// profile conserves simulated time exactly — the `fig_profile` gate.
+    /// profile conserves simulated time exactly.
     pub fn conservation_violations(&self) -> u64 {
         let mut v = self.violations;
         for (track, &total) in &self.track_totals {
@@ -303,6 +205,166 @@ impl Profile {
         }
         out.push_str("]\n}\n");
         out
+    }
+}
+
+/// Charge tracks in fold-slot order: [`charge_of`] yields only these two.
+const CHARGES: [Track; 2] = [Track::App, Track::Background];
+
+/// "No parent" in the fold's per-span and per-path parent links.
+const NONE: u32 = u32::MAX;
+
+/// The one fold behind every [`Profile`]. It takes span batches — a whole
+/// stream in [`Profile::from_spans`], one completed trace at a time in
+/// the [`AttributionEngine`](crate::AttributionEngine) — and accumulates
+/// weights per charge track on interned paths. Trace spans only link
+/// inside their trace, so folding a stream trace by trace equals folding
+/// it whole.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ProfileFold {
+    /// Interned paths: `(parent path, frame)`, indexed by path id; a root
+    /// frame's parent is `NONE`.
+    paths: Vec<(u32, &'static str)>,
+    /// Each path's one-frame extensions, and the root frames, searched
+    /// linearly: a path has a handful of child kinds.
+    children: Vec<Vec<(&'static str, u32)>>,
+    roots: Vec<(&'static str, u32)>,
+    /// Weights per `(path, charge)`, at `path * 2 + charge slot`.
+    stats: Vec<PathStats>,
+    /// Root-span nanoseconds per charge slot; `None` until a root lands.
+    track_totals: [Option<u64>; 2],
+    violations: u64,
+    // Per-span working arrays, kept between batches so a per-trace fold
+    // does not reallocate: spans waiting for their parent, then each
+    // span's parent index, path, charge and same-charge child time.
+    pending: Vec<u32>,
+    parent: Vec<u32>,
+    path: Vec<u32>,
+    charge: Vec<Track>,
+    child_ns: Vec<u64>,
+}
+
+impl ProfileFold {
+    /// Folds one batch of spans in recorder order. A span whose parent is
+    /// absent — evicted from the ring, or never recorded — folds as a root
+    /// of its own charge track.
+    pub(crate) fn fold(&mut self, events: &[SpanEvent]) {
+        let ProfileFold {
+            paths,
+            children,
+            roots,
+            stats,
+            track_totals,
+            violations,
+            pending,
+            parent,
+            path,
+            charge,
+            child_ns,
+        } = self;
+        let n = events.len();
+
+        // Recorder order is post-order: when a span arrives, its children
+        // are the spans waiting on top of the stack that name it.
+        parent.clear();
+        parent.resize(n, NONE);
+        pending.clear();
+        for (i, ev) in events.iter().enumerate() {
+            while let Some(&c) = pending.last() {
+                if !ev.span.is_some() || events[c as usize].parent != ev.span {
+                    break;
+                }
+                parent[c as usize] = i as u32;
+                pending.pop();
+            }
+            if ev.parent.is_some() {
+                pending.push(i as u32);
+            }
+        }
+
+        // Paths and charges top-down: every parent is folded first.
+        path.clear();
+        path.resize(n, 0);
+        charge.clear();
+        charge.resize(n, Track::App);
+        for i in (0..n).rev() {
+            let (above, above_charge) = match parent[i] {
+                NONE => (NONE, None),
+                p => (path[p as usize], Some(charge[p as usize])),
+            };
+            let frame = events[i].kind.name();
+            let siblings = match above {
+                NONE => &mut *roots,
+                p => &mut children[p as usize],
+            };
+            path[i] = match siblings.iter().find(|(f, _)| *f == frame) {
+                Some(&(_, id)) => id,
+                None => {
+                    let id = paths.len() as u32;
+                    siblings.push((frame, id));
+                    paths.push((above, frame));
+                    children.push(Vec::new());
+                    stats.resize(paths.len() * CHARGES.len(), PathStats::default());
+                    id
+                }
+            };
+            charge[i] = charge_of(events[i].track, above_charge);
+        }
+
+        // Weights bottom-up: a span's same-charge children precede it, so
+        // the time they cover is complete when the span is folded.
+        child_ns.clear();
+        child_ns.resize(n, 0);
+        for (i, ev) in events.iter().enumerate() {
+            if ev.is_instant() {
+                continue;
+            }
+            let c = usize::from(charge[i] == Track::Background);
+            let d = ev.duration.as_ns();
+            let self_ns = d.checked_sub(child_ns[i]).unwrap_or_else(|| {
+                *violations += 1;
+                0
+            });
+            let entry = &mut stats[path[i] as usize * CHARGES.len() + c];
+            entry.count += 1;
+            entry.total_ns += d;
+            entry.self_ns += self_ns;
+            let p = parent[i];
+            if p != NONE && charge[p as usize] == charge[i] {
+                child_ns[p as usize] += d;
+            } else {
+                *track_totals[c].get_or_insert(0) += d;
+            }
+        }
+    }
+
+    /// The fold read out as a [`Profile`]: path strings are built here,
+    /// once per interned path.
+    pub(crate) fn profile(&self) -> Profile {
+        let mut profile = Profile::default();
+        let mut names: Vec<String> = Vec::with_capacity(self.paths.len());
+        for (id, &(parent, frame)) in self.paths.iter().enumerate() {
+            let path = match parent {
+                NONE => format!(";{frame}"),
+                p => format!("{};{frame}", names[p as usize]),
+            };
+            for (c, track) in CHARGES.iter().enumerate() {
+                let stats = self.stats[id * CHARGES.len() + c];
+                if stats.count > 0 {
+                    profile
+                        .entries
+                        .insert(format!("{}{path}", track.name()), stats);
+                }
+            }
+            names.push(path);
+        }
+        for (total, track) in self.track_totals.iter().zip(CHARGES) {
+            if let Some(ns) = total {
+                profile.track_totals.insert(track.name().to_string(), *ns);
+            }
+        }
+        profile.violations = self.violations;
+        profile
     }
 }
 
@@ -412,6 +474,7 @@ mod tests {
     use super::*;
     use crate::event::{EventKind, SpanId, TraceId};
     use crate::timeseries::SeriesWindow;
+    use crate::trace::{CausalState, OpKind, SpanToken, TraceRecord};
     use kona_types::Nanos;
 
     fn span(
@@ -442,6 +505,222 @@ mod tests {
             span(Track::Net, 50, 400, EventKind::Verb { opcode: crate::event::VerbOpcode::Write, bytes: 64 }, 4, 3),
             span(Track::Background, 0, 900, EventKind::Evict, 3, 0),
         ]
+    }
+
+    /// The pre-interning fold, kept as the reference twin the streamed
+    /// fold must match: a parent walk per span builds its path string.
+    fn reference_from_spans(events: &[SpanEvent]) -> Profile {
+        // Span id -> index for parent resolution.
+        let mut by_id: BTreeMap<u32, usize> = BTreeMap::new();
+        for (i, ev) in events.iter().enumerate() {
+            if ev.span.is_some() {
+                by_id.insert(ev.span.0, i);
+            }
+        }
+        let parent_of = |ev: &SpanEvent| -> Option<usize> {
+            if ev.parent.is_some() {
+                by_id.get(&ev.parent.0).copied()
+            } else {
+                None
+            }
+        };
+
+        // Effective charge per span, memoized.
+        let mut charge: Vec<Option<Track>> = vec![None; events.len()];
+        for i in 0..events.len() {
+            if charge[i].is_some() {
+                continue;
+            }
+            let mut chain = vec![i];
+            let mut parent_charge = None;
+            while let Some(pi) = parent_of(&events[*chain.last().expect("nonempty")]) {
+                if let Some(c) = charge[pi] {
+                    parent_charge = Some(c);
+                    break;
+                }
+                if chain.contains(&pi) {
+                    break;
+                }
+                chain.push(pi);
+            }
+            for &j in chain.iter().rev() {
+                let c = charge_of(events[j].track, parent_charge);
+                charge[j] = Some(c);
+                parent_charge = Some(c);
+            }
+        }
+        let charge = |i: usize| charge[i].expect("charge computed for every span");
+
+        // Same-charge child durations, accumulated onto each parent.
+        let mut child_ns: Vec<u64> = vec![0; events.len()];
+        for (i, ev) in events.iter().enumerate() {
+            if ev.is_instant() {
+                continue;
+            }
+            if let Some(pi) = parent_of(ev) {
+                if pi != i && charge(pi) == charge(i) {
+                    child_ns[pi] += ev.duration.as_ns();
+                }
+            }
+        }
+
+        let mut profile = Profile::default();
+        let mut path = String::new();
+        for (i, ev) in events.iter().enumerate() {
+            if ev.is_instant() {
+                continue;
+            }
+            let c = charge(i);
+            // Frames root-to-leaf: walk the parent chain, then reverse.
+            let mut frames = vec![ev.kind.name()];
+            let mut cursor = parent_of(ev);
+            while let Some(pi) = cursor {
+                frames.push(events[pi].kind.name());
+                if frames.len() > events.len() {
+                    break;
+                }
+                cursor = parent_of(&events[pi]);
+            }
+            path.clear();
+            path.push_str(c.name());
+            for frame in frames.iter().rev() {
+                path.push(';');
+                path.push_str(frame);
+            }
+
+            let d = ev.duration.as_ns();
+            let covered = child_ns[i];
+            let (self_ns, violated) = if covered > d {
+                (0, 1)
+            } else {
+                (d - covered, 0)
+            };
+            profile.violations += violated;
+            let entry = profile.entries.entry(path.clone()).or_default();
+            entry.count += 1;
+            entry.total_ns += d;
+            entry.self_ns += self_ns;
+
+            let is_root = match parent_of(ev) {
+                None => true,
+                Some(pi) => charge(pi) != c,
+            };
+            if is_root {
+                *profile
+                    .track_totals
+                    .entry(c.name().to_string())
+                    .or_default() += d;
+            }
+        }
+        profile
+    }
+
+    /// A seeded random program against the real causal state: nested
+    /// opens, leaves, instants, unlinked `record()` spans and out-of-order
+    /// closes on every track.
+    /// With `untraced`, spans also open outside traces (and traces may
+    /// start under them). Returns the recorder-order span stream and the
+    /// completed traces, as `Telemetry::trace_end` hands them out.
+    fn causal_stream(seed: u64, untraced: bool) -> (Vec<SpanEvent>, Vec<TraceRecord>) {
+        use kona_types::rng::{Rng, StdRng};
+        const TRACKS: [Track; 4] = [Track::App, Track::Background, Track::Net, Track::Cluster];
+        const KINDS: [EventKind; 4] = [
+            EventKind::RemoteFetch,
+            EventKind::Evict,
+            EventKind::Writeback,
+            EventKind::FmemFill,
+        ];
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut state = CausalState::new(true);
+        let (mut ring, mut traces) = (Vec::new(), Vec::new());
+        let mut open: Vec<SpanToken> = Vec::new();
+        let mut in_trace = false;
+        for step in 0..600 {
+            let mut out = Vec::new();
+            let op = rng.gen_range(0..10u32);
+            let last = step == 599;
+            if !in_trace && !last && (op == 0 || !untraced) {
+                state.begin(OpKind::ALL[rng.gen_range(0..OpKind::ALL.len())]);
+                in_trace = true;
+            }
+            let track = TRACKS[rng.gen_range(0..TRACKS.len())];
+            let kind = KINDS[rng.gen_range(0..KINDS.len())];
+            let dur = Nanos::from_ns(rng.gen_range(0..500u64));
+            match op {
+                _ if last || (op == 1 && in_trace) => {
+                    if let Some(rec) = state.end(dur, &mut out) {
+                        out.extend(rec.spans.iter().copied());
+                        traces.push(rec);
+                    }
+                    in_trace = false;
+                    open.clear();
+                }
+                2..=4 => open.push(state.open(track, kind)),
+                5 if !open.is_empty() => {
+                    let k = rng.gen_range(0..open.len());
+                    let token = open.remove(k);
+                    open.truncate(k);
+                    state.close(token, dur, &mut out);
+                }
+                6 => state.instant(
+                    Track::Net,
+                    EventKind::Fault(crate::event::FaultKind::Dropped),
+                    &mut out,
+                ),
+                // A legacy `record()` span goes straight to the ring.
+                7 if untraced => out.push(SpanEvent::new(track, Nanos::ZERO, dur, kind)),
+                _ => state.leaf(track, kind, dur, &mut out),
+            }
+            ring.extend(out);
+        }
+        (ring, traces)
+    }
+
+    #[test]
+    fn streamed_fold_matches_the_reference_twin() {
+        let (mut saw_background, mut saw_violation) = (false, false);
+        for seed in 0..24 {
+            // Every span inside a trace: folding trace by trace (the
+            // attribution engine's path) equals folding the whole stream.
+            let (ring, traces) = causal_stream(seed, false);
+            assert!(traces.len() > 10);
+            let mut engine = crate::AttributionEngine::new(1);
+            for rec in &traces {
+                engine.observe(rec);
+            }
+            let whole = Profile::from_spans(&ring);
+            assert_eq!(engine.profile(), whole, "seed {seed}: per-trace fold");
+            assert_eq!(
+                whole,
+                reference_from_spans(&ring),
+                "seed {seed}: whole stream"
+            );
+            assert_eq!(whole.conservation_violations(), 0, "seed {seed}");
+            saw_background |= whole.track_totals().contains_key("eviction/poller");
+
+            // Untraced spans, traces under them, overlong children and
+            // oldest-first ring truncation: the twin still agrees.
+            let (mut ring, _) = causal_stream(seed, true);
+            for (i, ev) in ring.iter_mut().enumerate() {
+                if i % 17 == 0 {
+                    ev.duration = Nanos::from_ns(ev.duration.as_ns() / 3);
+                }
+            }
+            saw_violation |= Profile::from_spans(&ring).violations() > 0;
+            for cut in [0, 1, ring.len() / 3, ring.len() / 2, ring.len() - 1] {
+                let kept = &ring[cut..];
+                assert_eq!(
+                    Profile::from_spans(kept),
+                    reference_from_spans(kept),
+                    "seed {seed}: ring truncated at {cut}"
+                );
+            }
+        }
+        assert!(saw_background, "the streams must cross charges");
+        assert!(
+            saw_violation,
+            "shortened spans must trip the violation count"
+        );
     }
 
     #[test]

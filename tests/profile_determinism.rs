@@ -1,15 +1,16 @@
 //! Cross-crate integration tests for the deterministic profiling layer:
-//! byte-identity of folded profiles across replays,
-//! exact conservation of simulated time (per-path self sums equal
+//! the per-trace fold against the ring fold, byte-identity across
+//! replays, exact conservation of simulated time (per-path self sums equal
 //! per-track totals), a fabric slowdown landing on the `;verb` leaves,
 //! and the queueing/occupancy fold (`QueueStats`).
 
-use kona::{ClusterConfig, KonaRuntime, RemoteMemoryRuntime};
-use kona_bench::profile_scenario;
+use kona::{ClusterConfig, FailurePolicy, KonaRuntime, RemoteMemoryRuntime};
+use kona_bench::{cluster_segment, workload_by_name};
 use kona_cluster::MemoryNodeRuntime;
 use kona_net::FaultPlan;
-use kona_telemetry::{Profile, QueueStats, Telemetry};
-use kona_types::Nanos;
+use kona_telemetry::{OpKind, Profile, QueueStats, Telemetry};
+use kona_types::{align_up, ByteSize, Nanos, PAGE_SIZE_4K};
+use kona_workloads::WorkloadProfile;
 
 /// Span-ring capacity for the scenario runs — large enough that the
 /// quick scenario never drops (drops are tolerated by the fold, but a
@@ -18,11 +19,62 @@ const CAPACITY: usize = 1 << 16;
 
 const SEED: u64 = 42;
 
+/// The engine folds each completed trace into its profile; with every
+/// span inside a trace and a drop-free ring, that must equal folding the
+/// ring whole — under every bundled fault plan, so retry, backoff and
+/// recovery traces are folded too (one replica, so an unreachable node
+/// escalates to recovery).
+#[test]
+fn engine_profile_equals_the_ring_fold_under_every_fault_plan() {
+    let (mut saw_backoff, mut saw_recovery) = (false, false);
+    for (name, ops) in [("redis-rand", 300), ("redis-seq", 150), ("voltdb", 100)] {
+        let shape = WorkloadProfile::default()
+            .with_windows(1)
+            .with_ops_per_window(ops);
+        let trace = workload_by_name(name, shape)
+            .expect("known workload")
+            .generate(SEED);
+        let span = align_up(trace.address_span() + PAGE_SIZE_4K, PAGE_SIZE_4K);
+        let replay = |plan: &FaultPlan, tel: &Telemetry| {
+            let mut cfg = ClusterConfig::small().timing_only();
+            cfg.memory_nodes = 3;
+            cfg.node_capacity = ByteSize((span * 2).max(1 << 22));
+            cfg.local_cache_pages = 8;
+            cfg.fault_plan = Some(plan.clone());
+            let mut rt = KonaRuntime::with_telemetry(cfg, tel.clone()).expect("config valid");
+            rt.set_failure_policy(FailurePolicy::PageFaultFallback);
+            rt.allocate(span).expect("allocation fits");
+            for ev in trace.as_slice() {
+                // Faulted accesses still close their traces; the profile,
+                // not the data, is under test.
+                let _ = rt.run_trace(std::slice::from_ref(ev));
+            }
+            let _ = rt.sync();
+        };
+        for plan in FaultPlan::bundled(SEED, 0) {
+            let causal = Telemetry::with_causal(CAPACITY, 0);
+            let tracing = Telemetry::with_tracing(CAPACITY);
+            replay(&plan, &causal);
+            replay(&plan, &tracing);
+            let engine = causal.attribution().expect("engine");
+            saw_recovery |= engine.ops().contains_key(&OpKind::Recovery);
+            let folded = engine.profile();
+            saw_backoff |= folded.entries().keys().any(|p| p.ends_with(";backoff"));
+            assert_eq!(folded.conservation_violations(), 0, "{name}/{}", plan.name);
+            // Causal and tracing-only streams fold to the same profile.
+            for ring in [&causal, &tracing] {
+                assert_eq!(ring.dropped_events(), 0, "{name}/{}", plan.name);
+                let whole = Profile::from_spans(&ring.events());
+                assert_eq!(folded, whole, "{name}/{}", plan.name);
+            }
+        }
+    }
+    assert!(saw_backoff && saw_recovery, "no retry or recovery");
+}
+
 fn scenario() -> (String, String, String) {
-    let report = profile_scenario(SEED, true, CAPACITY);
-    let profile = report.profile.as_ref().expect("tracing enabled");
-    let series = report.series.as_ref().expect("windows enabled");
-    let queues = QueueStats::from_series(series);
+    let (profile, queues, dropped) = cluster_segment(SEED, true, CAPACITY);
+    assert_eq!(dropped, 0);
     let mut queue_text = String::new();
     for (id, link) in &queues.links {
         queue_text.push_str(&format!(
@@ -33,8 +85,7 @@ fn scenario() -> (String, String, String) {
     (profile.to_json(), profile.to_collapsed(), queue_text)
 }
 
-/// Replay: the same configuration reproduces the same bytes (the worker
-/// count half lives in `tests/shard_determinism.rs`).
+/// Replay: the same configuration reproduces the same bytes.
 #[test]
 fn profiles_are_byte_identical_across_replay() {
     assert_eq!(scenario(), scenario(), "replay diverged");
@@ -46,8 +97,8 @@ fn self_times_sum_exactly_to_track_totals() {
     // same-charge children are sequential on the charge clock, so
     // parent duration covers them and self = duration − Σ(children).
     for seed in [7u64, 42, 1234] {
-        let report = profile_scenario(seed, true, CAPACITY);
-        let profile = report.profile.as_ref().expect("tracing enabled");
+        let (profile, _, dropped) = cluster_segment(seed, true, CAPACITY);
+        assert_eq!(dropped, 0);
         assert_eq!(
             profile.conservation_violations(),
             0,
@@ -112,11 +163,9 @@ fn diff_blames_the_congested_wire_path() {
 
 #[test]
 fn queue_stats_fold_links_from_the_scenario_and_nodes_from_a_runtime() {
-    // Links: the shard scenario's fabric traffic must surface per-link
+    // Links: the cluster segment's fabric traffic must surface per-link
     // WR counts and in-flight time.
-    let report = profile_scenario(SEED, true, CAPACITY);
-    let series = report.series.as_ref().expect("windows enabled");
-    let queues = QueueStats::from_series(series);
+    let (_, queues, _) = cluster_segment(SEED, true, CAPACITY);
     assert!(!queues.links.is_empty(), "fabric traffic must appear per link");
     let total_wrs: u64 = queues.links.values().map(|l| l.wrs).sum();
     assert!(total_wrs > 0);
